@@ -129,3 +129,130 @@ fn freed_btdp_pool_pages_are_not_resident_after_run() {
     let _ = info;
     vm.heap.check_invariants(&vm.mem).unwrap();
 }
+
+/// Path of the traced-attribution golden.
+fn attribution_golden_path() -> std::path::PathBuf {
+    std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/trace_profile_golden.txt")
+}
+
+/// FNV-1a over a string, for digesting the full retained event ring.
+fn fnv1a(s: &str) -> u64 {
+    s.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ b as u64).wrapping_mul(0x100_0000_01b3)
+    })
+}
+
+/// Renders everything a traced run attributes — per-function rows,
+/// folded stacks, the event ring, heap counters and the dynamic-pair
+/// census — for nginx and omnetpp on every machine model, one
+/// `kind cell=<workload>/<machine> key=value...` record per line.
+fn render_attribution() -> String {
+    use std::fmt::Write as _;
+    let omnetpp = spec_workloads(Scale::Test)
+        .into_iter()
+        .find(|w| w.name == "omnetpp")
+        .unwrap();
+    let cells = [
+        (
+            "nginx",
+            r2c_workloads::webserver_module(ServerKind::Nginx, 20),
+            R2cConfig::full(3),
+        ),
+        ("omnetpp", omnetpp.module, R2cConfig::full(7)),
+    ];
+    let mut s = String::from("# r2c traced-attribution golden v1\n");
+    for (name, module, cfg) in cells {
+        let image = R2cCompiler::new(cfg).build(&module).unwrap();
+        for machine in MachineKind::ALL {
+            let mut vm = Vm::new(&image, VmConfig::new(machine.config()));
+            vm.enable_trace(&image, TraceConfig::default());
+            vm.tracer_mut().unwrap().enable_pair_census(&image);
+            let out = vm.run();
+            assert!(matches!(out.status, ExitStatus::Exited(_)));
+            let p = vm.trace_profile().unwrap();
+            let cell = format!("{name}/{}", machine.name().replace(' ', "_"));
+            let t = &p.totals;
+            let _ = writeln!(
+                s,
+                "cell cell={cell} insns={} cycles={} misses={} calls={} rets={}",
+                t.instructions, t.cycles, t.icache_misses, t.calls, t.rets
+            );
+            for f in &p.funcs {
+                let _ = writeln!(
+                    s,
+                    "func cell={cell} name={} self={} insns={} misses={} calls={}",
+                    f.name, f.self_cycles, f.instructions, f.icache_misses, f.calls
+                );
+            }
+            for (stack, cycles) in &p.folded {
+                let _ = writeln!(s, "fold cell={cell} stack={stack} cycles={cycles}");
+            }
+            let h = &p.heap;
+            let _ = writeln!(
+                s,
+                "heap cell={cell} allocs={} frees={} peak_live={} peak_resident={} \
+                 end_live={} end_resident={} released={} quarantined={} timeline={}",
+                h.allocs,
+                h.frees,
+                h.peak_live_bytes,
+                h.peak_resident_pages,
+                h.end_live_bytes,
+                h.end_resident_pages,
+                h.released_pages,
+                h.quarantined_pages,
+                h.timeline.len()
+            );
+            let ring: String = p.events.iter().map(|e| format!("{e:?}\n")).collect();
+            let _ = writeln!(
+                s,
+                "events cell={cell} kept={} dropped={} fnv={:016x}",
+                p.events.len(),
+                p.dropped_events,
+                fnv1a(&ring)
+            );
+            for e in p.events.iter().rev().take(8).rev() {
+                let _ = writeln!(s, "event cell={cell} {e:?}");
+            }
+            let census = vm.pair_census().unwrap();
+            let _ = writeln!(
+                s,
+                "census cell={cell} total={} covered={}",
+                census.total_pairs(),
+                census.covered_pairs()
+            );
+            for (pair, count, _) in census.rows() {
+                let _ = writeln!(s, "pair cell={cell} pair={pair} count={count}");
+            }
+        }
+    }
+    s
+}
+
+/// Pins what the tracer attributes, not just that it is invisible: the
+/// per-function rows, folded stacks, event ring, heap counters and pair
+/// census must stay exactly as recorded. To re-record after an
+/// intentional change:
+/// `R2C_BLESS=1 cargo test -p r2c-bench --test trace_profile`
+#[test]
+fn traced_attribution_matches_golden() {
+    let got = render_attribution();
+    let path = attribution_golden_path();
+    if std::env::var_os("R2C_BLESS").is_some() {
+        std::fs::write(&path, &got).unwrap();
+        return;
+    }
+    let want = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!(
+            "read {}: {e} (run with R2C_BLESS=1 to record)",
+            path.display()
+        )
+    });
+    for (i, (g, w)) in got.lines().zip(want.lines()).enumerate() {
+        assert_eq!(g, w, "line {} of {} differs", i + 1, path.display());
+    }
+    assert_eq!(
+        got.lines().count(),
+        want.lines().count(),
+        "record count changed"
+    );
+}
