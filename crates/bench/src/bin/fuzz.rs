@@ -51,6 +51,7 @@
 
 use std::path::PathBuf;
 use std::process::ExitCode;
+use std::str::FromStr;
 
 use r2c_bench::{parallel_map, TablePrinter};
 use r2c_fuzz::{
@@ -77,6 +78,15 @@ struct Args {
     write_baseline: bool,
 }
 
+const USAGE: &str = "fuzz [--cases N] [--seed S] [--preset quick|full|<config-name>] \
+     [--div-dir DIR] [--campaign [--corpus DIR] [--blind] [--mutate-ratio R] [--minimize] \
+     [--refresh] [--time-budget SECS] [--coverage-json PATH] [--baseline PATH] \
+     [--write-baseline]]";
+
+fn bad_args(problem: &str) -> ! {
+    r2c_bench::usage_exit(problem, USAGE)
+}
+
 fn parse_args() -> Args {
     let mut args = Args {
         cases: 200,
@@ -98,32 +108,28 @@ fn parse_args() -> Args {
     while let Some(a) = it.next() {
         let mut val = |name: &str| {
             it.next()
-                .unwrap_or_else(|| panic!("{name} requires a value"))
+                .unwrap_or_else(|| bad_args(&format!("{name} requires a value")))
         };
+        fn num<T: FromStr>(name: &str, v: String) -> T {
+            v.parse()
+                .unwrap_or_else(|_| bad_args(&format!("{name}: cannot parse {v:?}")))
+        }
         match a.as_str() {
-            "--cases" => args.cases = val("--cases").parse().expect("--cases: integer"),
-            "--seed" => args.seed = val("--seed").parse().expect("--seed: integer"),
+            "--cases" => args.cases = num("--cases", val("--cases")),
+            "--seed" => args.seed = num("--seed", val("--seed")),
             "--preset" => args.preset = val("--preset"),
             "--div-dir" => args.div_dir = PathBuf::from(val("--div-dir")),
             "--campaign" => args.campaign = true,
             "--corpus" => args.corpus = PathBuf::from(val("--corpus")),
             "--blind" => args.blind = true,
-            "--mutate-ratio" => {
-                args.mutate_ratio = val("--mutate-ratio")
-                    .parse()
-                    .expect("--mutate-ratio: float")
-            }
+            "--mutate-ratio" => args.mutate_ratio = num("--mutate-ratio", val("--mutate-ratio")),
             "--minimize" => args.minimize = true,
             "--refresh" => args.refresh = true,
-            "--time-budget" => {
-                args.time_budget = Some(val("--time-budget").parse().expect("--time-budget: secs"))
-            }
+            "--time-budget" => args.time_budget = Some(num("--time-budget", val("--time-budget"))),
             "--coverage-json" => args.coverage_json = Some(PathBuf::from(val("--coverage-json"))),
             "--baseline" => args.baseline = Some(PathBuf::from(val("--baseline"))),
             "--write-baseline" => args.write_baseline = true,
-            other => panic!(
-                "unknown argument {other:?} (try --cases/--seed/--preset/--div-dir/--campaign)"
-            ),
+            other => bad_args(&format!("unknown argument {other:?}")),
         }
     }
     args
@@ -145,7 +151,9 @@ fn matrix_for(preset: &str) -> OracleMatrix {
                 .find(|(n, _)| n == name)
                 .unwrap_or_else(|| {
                     let known: Vec<String> = named_configs().into_iter().map(|(n, _)| n).collect();
-                    panic!("unknown preset {name:?}; known: quick, full, {known:?}")
+                    bad_args(&format!(
+                        "unknown preset {name:?}; known: quick, full, fleet-respawn, {known:?}"
+                    ))
                 })
                 .1;
             OracleMatrix {

@@ -5,12 +5,12 @@
 //! heap telemetry and the bounded event trace.
 //!
 //! Every profile run doubles as a three-way self-check of the
-//! execution engines: the decoded fast engine (fused superinstructions
-//! and block runs), the per-instruction engine (`no_fuse`), and the
-//! traced reference path must produce [`ExecStats`] that agree in
-//! *every* field, or the binary exits non-zero — so CI catches both a
-//! tracer that perturbs the simulation and a fused engine that drifts
-//! from the reference semantics. Folded stacks are additionally written
+//! execution engine: fused decoding (superinstructions and block runs),
+//! per-instruction decoding (`no_fuse`), and the traced run of the same
+//! fused engine must produce [`ExecStats`] that agree in *every* field,
+//! or the binary exits non-zero — so CI catches both a tracer that
+//! perturbs the simulation and a fused decoding that drifts from the
+//! per-instruction semantics. Folded stacks are additionally written
 //! to `PROFILE_<workload>_<machine>.folded`, ready for `flamegraph.pl`.
 //!
 //! ```text
@@ -19,14 +19,15 @@
 //!         [--requests N] [--seed N]
 //! ```
 //!
-//! `<name>` is one of the 12 SPEC-style workloads (e.g. `omnetpp`) or
-//! `nginx`/`apache`. Defaults: `nginx`, `full`, all machines,
-//! `--scale bench`, 500 requests, seed 1.
+//! `<name>` is `nginx`/`apache`, one of the 12 SPEC-style workloads
+//! (e.g. `omnetpp`) or one of the captured `cap-*` workloads (which run
+//! at their recorded size, whatever `--scale`). Defaults: `nginx`,
+//! `full`, all machines, `--scale bench`, 500 requests, seed 1.
 
 use r2c_core::{R2cCompiler, R2cConfig};
 use r2c_ir::Module;
 use r2c_vm::{ExecStats, ExitStatus, MachineKind, TraceConfig, Vm, VmConfig};
-use r2c_workloads::{spec_workloads, Scale, ServerKind};
+use r2c_workloads::{captured_workloads, spec_workloads, Scale, ServerKind};
 
 fn arg_value(args: &[String], flag: &str) -> Option<String> {
     args.iter()
@@ -48,16 +49,14 @@ fn find_workload(name: &str, scale: Scale, requests: u64) -> Module {
         "nginx" => r2c_workloads::webserver_module(ServerKind::Nginx, requests),
         "apache" => r2c_workloads::webserver_module(ServerKind::Apache, requests),
         _ => {
-            let workloads = spec_workloads(scale);
-            match workloads.into_iter().find(|w| w.name == name) {
-                Some(w) => w.module,
+            let mut workloads = spec_workloads(scale);
+            workloads.extend(captured_workloads());
+            match workloads.iter().position(|w| w.name == name) {
+                Some(i) => workloads.swap_remove(i).module,
                 None => {
                     eprintln!(
                         "unknown workload {name:?}; expected nginx, apache, or one of {:?}",
-                        spec_workloads(Scale::Test)
-                            .iter()
-                            .map(|w| w.name)
-                            .collect::<Vec<_>>()
+                        workloads.iter().map(|w| w.name).collect::<Vec<_>>()
                     );
                     std::process::exit(2);
                 }

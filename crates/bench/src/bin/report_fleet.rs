@@ -68,7 +68,10 @@ fn parse_args() -> Args {
         match a.as_str() {
             "--smoke" => args.smoke = true,
             "--verify-determinism" => args.verify = true,
-            other => panic!("unknown argument {other:?} (try --smoke/--verify-determinism)"),
+            other => r2c_bench::usage_exit(
+                &format!("unknown argument {other:?}"),
+                "report_fleet [--smoke] [--verify-determinism]",
+            ),
         }
     }
     args

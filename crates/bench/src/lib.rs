@@ -109,6 +109,13 @@ fn median_of_sorted(v: &[f64]) -> f64 {
     }
 }
 
+/// Reports a bad command line the way every report binary does: the
+/// problem and the usage line on stderr, then exit status 2.
+pub fn usage_exit(problem: &str, usage: &str) -> ! {
+    eprintln!("{problem}\nusage: {usage}");
+    std::process::exit(2)
+}
+
 /// Number of worker threads for [`parallel_map`]: the host's available
 /// parallelism, overridable with `R2C_BENCH_THREADS` (set it to `1` to
 /// force the serial path, e.g. when diffing against a serial run).

@@ -416,7 +416,7 @@ impl<'a> Tv<'a> {
         }
     }
 
-    /// Cost conformance of a top-level pair's second half: `second!`
+    /// Cost conformance of a top-level pair's second half: `charge_second`
     /// charges `cost2` deci-cycles and touches the icache at
     /// `addr + a2off`, which must be the second instruction's own base
     /// cost and real address.

@@ -2,11 +2,14 @@
 //!
 //! Two independent evaluators over a shared term arena:
 //!
-//! * [`sym_exec_insn`] gives the meaning of a source [`Insn`], mirroring
-//!   the reference interpreter (`Vm::exec_slow`) arm by arm;
+//! * [`sym_exec_insn`] gives the meaning of a source [`Insn`], written
+//!   independently from the ISA (it shares no code with the VM, which
+//!   is what makes it an oracle);
 //! * [`sym_exec_op`] gives the meaning of a decoded [`Op`], mirroring
-//!   the decoded engine (`Vm::exec_fast` / `Vm::exec_member` /
-//!   `quad_effects` / `alu_imm_quad_effects`) arm by arm.
+//!   the VM's single semantics function for non-control ops
+//!   (`Vm::exec_single`, which `Vm::exec_member` composes into fused
+//!   pairs and quads, plus `alu_imm_quad_effects`) and the control arms
+//!   of `Vm::exec`.
 //!
 //! Both produce a [`SymState`]: the final symbolic register file, YMM
 //! file, flags term, YMM-dirty tri-state, and the ordered sequence of
@@ -25,7 +28,8 @@
 //! The per-entry `ord` tag records which original instruction of a
 //! fused pair an effect belongs to, which is exactly the fault-
 //! attribution metadata (`exec_member`'s "half", the position of the
-//! `second!` accounting boundary) that mid-pair faults depend on.
+//! `Vm::charge_second` accounting boundary) that mid-pair faults
+//! depend on.
 
 use std::collections::HashMap;
 
@@ -164,7 +168,7 @@ pub(crate) struct Effect {
     pub val: Option<Id>,
     /// Ordinal of the original instruction this effect belongs to
     /// within the evaluated unit (the pair "half" of `exec_member`, the
-    /// side of the `second!` boundary at top level).
+    /// side of the `charge_second` boundary at top level).
     pub ord: u8,
 }
 
@@ -620,8 +624,9 @@ pub(crate) fn sym_exec_insn(
 
 /// Symbolic meaning of one decoded op, mirroring the decoded engine.
 /// Fused variants advance the effect attribution (`set_ord`) between
-/// their halves exactly where `exec_fast` places the `second!`
-/// accounting boundary and `exec_member` switches its fault half.
+/// their halves exactly where the engine places the
+/// `Vm::charge_second` accounting boundary and `exec_member` switches
+/// its fault half.
 /// `Op::Run` has no local meaning (the validator walks run tables
 /// itself) and is rejected.
 pub(crate) fn sym_exec_op(

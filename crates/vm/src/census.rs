@@ -10,13 +10,14 @@
 //! dynamic mix — this module is that instrument.
 //!
 //! A [`PairCensus`] attaches to a [`Tracer`](crate::Tracer) (census
-//! runs are trace runs: they take the reference `exec_slow` path, so
-//! counting cannot perturb the measured execution) and observes the
-//! per-instruction `step` stream. A pair is counted when two
-//! consecutively executed instructions are *adjacent in memory*
-//! (`index == prev_index + 1`) — exactly the adjacency the fusion pass
-//! requires — and classified by the same instruction classes the
-//! catalogue patterns are written in.
+//! runs are trace runs of the decoded engine — the tracer only
+//! observes, so counting cannot perturb the measured execution) and is
+//! fed, per dispatch, the run of consecutive instructions the dispatch
+//! executed. A pair is counted when two consecutively executed
+//! instructions are *adjacent in memory* (`index == prev_index + 1`) —
+//! exactly the adjacency the fusion pass requires, and what every fused
+//! pair and block run covers — and classified by the same instruction
+//! classes the catalogue patterns are written in.
 
 use std::collections::HashMap;
 
@@ -138,7 +139,7 @@ pub struct PairCensus {
     /// (class, class) → executed adjacent-pair count.
     counts: HashMap<(u8, u8), u64>,
     /// Index of the previously executed instruction.
-    prev: Option<u32>,
+    prev: Option<usize>,
     /// Total executed adjacent pairs.
     total: u64,
 }
@@ -155,24 +156,28 @@ impl PairCensus {
         }
     }
 
-    /// Observes the next executed instruction (by start address).
-    #[inline]
-    pub fn note(&mut self, addr: VAddr) {
-        let Ok(idx) = self.addrs.binary_search(&addr) else {
+    /// Observes the next `n` executed instructions, laid out in order
+    /// from start address `addr` (one dispatch of the engine).
+    pub fn note(&mut self, addr: VAddr, n: u64) {
+        if n == 0 {
+            return;
+        }
+        let Ok(first) = self.addrs.binary_search(&addr) else {
             // Not an instruction start this census knows (e.g. an image
             // swapped under the tracer) — break the adjacency chain.
             self.prev = None;
             return;
         };
-        let idx = idx as u32;
-        if let Some(p) = self.prev {
-            if idx == p + 1 {
-                let key = (self.classes[p as usize], self.classes[idx as usize]);
-                *self.counts.entry(key).or_insert(0) += 1;
-                self.total += 1;
+        for idx in first..(first + n as usize).min(self.addrs.len()) {
+            if let Some(p) = self.prev {
+                if idx == p + 1 {
+                    let key = (self.classes[p], self.classes[idx]);
+                    *self.counts.entry(key).or_insert(0) += 1;
+                    self.total += 1;
+                }
             }
+            self.prev = Some(idx);
         }
-        self.prev = Some(idx);
     }
 
     /// Merges another census (same class universe) into this one.
@@ -292,7 +297,7 @@ mod tests {
         // Execute 0 -> 1 (adjacent), then jump back to 0 (not adjacent),
         // then 0 -> 1 -> 2 (two adjacent pairs).
         for &i in &[0usize, 1, 0, 1, 2] {
-            c.note(img.insn_addrs[i]);
+            c.note(img.insn_addrs[i], 1);
         }
         assert_eq!(c.total_pairs(), 3);
         assert_eq!(c.covered_pairs(), 2, "MovReg->AluReg is catalogued");
@@ -313,9 +318,9 @@ mod tests {
             Insn::Ret,
         ]);
         let mut c = PairCensus::new(&img);
-        c.note(img.insn_addrs[0]);
-        c.note(0xdead_beef); // not an instruction start
-        c.note(img.insn_addrs[1]);
+        c.note(img.insn_addrs[0], 1);
+        c.note(0xdead_beef, 1); // not an instruction start
+        c.note(img.insn_addrs[1], 1);
         assert_eq!(c.total_pairs(), 0);
         assert_eq!(c.coverage(), 1.0, "empty census counts as covered");
     }
@@ -342,11 +347,11 @@ mod tests {
             Insn::Push { src: Gpr::Rbx },
         ]);
         let mut a = PairCensus::new(&img);
-        a.note(img.insn_addrs[0]);
-        a.note(img.insn_addrs[1]);
+        a.note(img.insn_addrs[0], 1);
+        a.note(img.insn_addrs[1], 1);
         let mut b = PairCensus::new(&img);
-        b.note(img.insn_addrs[0]);
-        b.note(img.insn_addrs[1]);
+        b.note(img.insn_addrs[0], 1);
+        b.note(img.insn_addrs[1], 1);
         a.merge(&b);
         assert_eq!(a.total_pairs(), 2);
         assert_eq!(a.covered_pairs(), 2, "Push->Push is catalogued");

@@ -39,12 +39,12 @@
 //!
 //! Decoding and fusion are **host-side only**: simulated [`ExecStats`]
 //! (instructions, deci-cycles, calls/rets, icache hits/misses, AVX
-//! transitions, max-rss) stay bit-identical per seed to the pre-decode
-//! interpreter on every workload × config × machine cell. Fused ops
-//! re-check the instruction budget and touch the simulated icache once
-//! per *original* instruction, in original order, so even a fault or
-//! budget exhaustion between the two halves of a pair produces the
-//! exact partial stats the unfused interpreter would.
+//! transitions, max-rss) stay bit-identical per seed to unfused,
+//! one-op-per-instruction decoding on every workload × config × machine
+//! cell. Fused ops re-check the instruction budget and touch the
+//! simulated icache once per *original* instruction, in original order,
+//! so even a fault or budget exhaustion between the two halves of a
+//! pair produces the exact partial stats unfused decoding would.
 //!
 //! ## Cache keying and invalidation
 //!
@@ -397,7 +397,7 @@ pub enum Op {
     /// Block run: this instruction plus the following
     /// `runs[run].n - 1` straight-line instructions execute under a
     /// single dispatch with batched instruction/cycle/icache
-    /// accounting (see the `Op::Run` arm in exec.rs for the exactness
+    /// accounting (see `Vm::exec_run_members` in exec.rs for the exactness
     /// argument). The member ops stay standalone-decodable, so any
     /// control transfer into the middle of a run just executes the
     /// members individually.
@@ -536,8 +536,8 @@ pub struct DecodedProgram {
     pub machine: MachineConfig,
     /// Whether superinstruction fusion was applied.
     pub fused: bool,
-    /// Verbatim instruction copy (slow path, disassembly, fault
-    /// recovery of unresolved branch targets).
+    /// Verbatim instruction copy (disassembly, traced call targets,
+    /// fault recovery of unresolved branch targets).
     pub insns: Vec<Insn>,
     /// Absolute instruction addresses, parallel to `insns`.
     pub insn_addrs: Vec<VAddr>,

@@ -8,24 +8,26 @@
 //! booby-trap execution and guard-page access is recorded as a
 //! [`Detection`] event for the reactive-defense monitor.
 //!
-//! Execution has two engines sharing one semantic contract:
+//! Execution runs one engine over the pre-decoded, superinstruction-
+//! fused program from [`crate::decode`]: a single loop, generic over its
+//! observation [`Hooks`], instantiated twice — with `()` for untraced
+//! runs and with the [`Tracer`] for traced ones, so profiles, captures
+//! and the pair census observe exactly the engine untraced runs use.
+//! The effect of every non-control instruction is written once
+//! ([`Vm::exec_single`]), and [`Vm::exec_member`] composes it into the
+//! non-control fused pairs and quads; only control transfers keep their
+//! own dispatch arms.
 //!
-//! * **the fast path** ([`Vm::exec_fast`]) runs the pre-decoded,
-//!   superinstruction-fused IR from [`crate::decode`] — this is what
-//!   untraced runs use;
-//! * **the slow path** ([`Vm::exec_slow`]) is the original per-[`Insn`]
-//!   interpreter, kept verbatim for trace-enabled runs (every tracer
-//!   hook lives here) and as the semantic reference the differential
-//!   suites compare the fast path against.
-//!
-//! Simulated [`ExecStats`] are bit-identical between the two, per seed,
-//! on every workload — the decoded engine re-checks the instruction
-//! budget and touches the simulated icache once per *original*
-//! instruction in original order, even inside fused pairs.
+//! Simulated [`ExecStats`] are bit-identical per seed between fused and
+//! unfused decoding (`VmConfig::no_fuse`: one op per instruction, the
+//! per-instruction reference the differential suites compare against)
+//! and between traced and untraced runs — the engine re-checks the
+//! instruction budget and touches the simulated icache once per
+//! *original* instruction in original order, even inside fused pairs.
 
 use std::sync::Arc;
 
-use crate::decode::{self, DecodedProgram, Op, NO_INSN};
+use crate::decode::{self, DecodedProgram, Op, RunInfo, F2, NO_INSN};
 use crate::fault::{Detection, Fault};
 use crate::heap::Heap;
 use crate::image::{Image, NativeKind};
@@ -137,7 +139,7 @@ pub struct Vm {
     /// table, native table, layout and the load-time memory image —
     /// shared (via the decode cache) with every other VM running the
     /// same image on the same machine model.
-    prog: Arc<DecodedProgram>,
+    pub(crate) prog: Arc<DecodedProgram>,
     /// Guest memory. Public for tests and analysis tooling; attacks must
     /// use the permission-checked primitives instead.
     pub mem: Memory,
@@ -145,8 +147,8 @@ pub struct Vm {
     pub regs: RegFile,
     /// Guest heap allocator state.
     pub heap: Heap,
-    icache: ICache,
-    stats: ExecStats,
+    pub(crate) icache: ICache,
+    pub(crate) stats: ExecStats,
     edges: crate::stats::EdgeStats,
     stack_limit: VAddr,
     /// Values printed by the guest (`PrintI64` / `PutChar` natives), the
@@ -160,10 +162,10 @@ pub struct Vm {
     pub probes: Vec<StackSnapshot>,
     ymm_dirty: bool,
     pending_resume: Option<u32>,
-    /// Execution tracer (`None` by default). A traced VM runs the slow
-    /// path, where every hook lives; an untraced VM runs the decoded
-    /// fast path. Tracing only *observes* state — cycle counts stay
-    /// bit-identical either way, which the `profile` binary enforces.
+    /// Execution tracer (`None` by default). While a traced VM runs, the
+    /// tracer is lent to the execution loop as its [`Hooks`]. Tracing
+    /// only *observes* state — cycle counts stay bit-identical either
+    /// way, which the `profile` binary enforces.
     tracer: Option<Box<Tracer>>,
 }
 
@@ -412,7 +414,7 @@ impl Vm {
             }
             // Attribute the final instruction's cost; after this the
             // folded map accounts for every cycle charged so far.
-            tr.sync(self.stats.cycles, m);
+            tr.sync(self.stats.instructions, self.stats.cycles, m);
         }
         self.stats.icache_hits = h;
         self.stats.icache_misses = m;
@@ -522,51 +524,46 @@ impl Vm {
     }
 
     /// Executes starting at instruction index `idx` until the activation
-    /// returns to the sentinel, the guest halts, or a fault occurs.
-    /// Trace-enabled runs take the slow path (all tracer hooks live
-    /// there); everything else runs the decoded engine.
+    /// returns to the sentinel, the guest halts, or a fault occurs. A
+    /// traced VM lends its tracer to the loop as its [`Hooks`]; an
+    /// untraced one runs the no-op instantiation.
     fn exec_from(&mut self, idx: u32) -> RunOutcome {
-        if self.tracer.is_some() {
-            self.exec_slow(idx)
-        } else {
-            self.exec_fast(idx)
-        }
+        let end = match self.tracer.take() {
+            None => self.exec(&mut (), idx),
+            Some(mut tr) => {
+                let end = self.exec(&mut *tr, idx);
+                self.tracer = Some(tr);
+                end
+            }
+        };
+        self.finish(end.unwrap_or_else(ExitStatus::Faulted))
     }
 
-    /// The decoded-IR engine: pre-baked costs, pre-resolved direct
-    /// branch targets, fused superinstructions.
+    /// The execution loop over the decoded program: pre-baked costs,
+    /// pre-resolved direct branch targets, fused superinstructions and
+    /// block runs.
     ///
-    /// Exactness protocol (audited against [`Vm::exec_slow`], enforced
-    /// by the differential suites): per original instruction, in
-    /// original order — budget check, then `instructions += 1`, then
-    /// `cycles += base_cost + icache.access(insn_addr)`, then the
-    /// instruction's effect (which may fault, ending the run with
-    /// exactly the partial stats the slow path would report). Fused
-    /// pairs run this sequence twice under a single dispatch.
-    fn exec_fast(&mut self, mut idx: u32) -> RunOutcome {
+    /// Exactness protocol (enforced by the differential suites against
+    /// the unfused, one-op-per-instruction decoding): per original
+    /// instruction, in original order — budget check, then
+    /// `instructions += 1`, then `cycles += base_cost +
+    /// icache.access(insn_addr)`, then the instruction's effect (which
+    /// may fault, ending the run with exactly the partial stats a
+    /// per-instruction run would report). A fused pair runs this
+    /// sequence twice under a single dispatch ([`Vm::charge_second`]
+    /// between its halves); a block run batch-charges its members.
+    fn exec<H: Hooks>(&mut self, h: &mut H, mut idx: u32) -> Result<ExitStatus, Fault> {
         let prog = Arc::clone(&self.prog);
         let ops = &prog.ops[..];
         loop {
             if self.stats.instructions >= self.cfg.insn_budget {
-                return self.finish(ExitStatus::Faulted(Fault::BudgetExhausted));
+                return Err(Fault::BudgetExhausted);
             }
             let dop = &ops[idx as usize];
+            h.dispatch(self, idx);
             self.stats.instructions += 1;
             self.stats.cycles += dop.cost as u64 + self.icache.access(dop.addr);
 
-            macro_rules! fault {
-                ($f:expr) => {
-                    return self.finish(ExitStatus::Faulted($f))
-                };
-            }
-            macro_rules! try_mem {
-                ($e:expr) => {
-                    match $e {
-                        Ok(v) => v,
-                        Err(f) => fault!(f),
-                    }
-                };
-            }
             // Indirect transfer: resolve through the dispatch table.
             macro_rules! jump_to {
                 ($t:expr) => {{
@@ -576,7 +573,7 @@ impl Vm {
                             idx = i;
                             continue;
                         }
-                        None => fault!(Fault::InvalidJump { target: t }),
+                        None => return Err(Fault::InvalidJump { target: t }),
                     }
                 }};
             }
@@ -587,7 +584,7 @@ impl Vm {
                 ($tgt:expr, $src:expr) => {{
                     let t = $tgt;
                     if t == NO_INSN {
-                        fault!(Fault::InvalidJump {
+                        return Err(Fault::InvalidJump {
                             target: prog.insns[$src as usize]
                                 .branch_target()
                                 .expect("unresolved target is a direct branch"),
@@ -597,313 +594,73 @@ impl Vm {
                     continue;
                 }};
             }
-            // Charges the second half of a fused pair, exactly as the
-            // slow path would at the top of its next iteration: budget
-            // check, instruction count, base cost + icache at the
-            // second instruction's own address.
-            macro_rules! second {
-                ($f2:expr) => {{
-                    if self.stats.instructions >= self.cfg.insn_budget {
-                        return self.finish(ExitStatus::Faulted(Fault::BudgetExhausted));
+            macro_rules! jcc {
+                ($cond:expr, $tgt:expr, $taken_extra:expr, $src:expr) => {
+                    if self.cond_holds($cond) {
+                        self.stats.cycles += $taken_extra as u64;
+                        direct_jump!($tgt, $src);
                     }
-                    self.stats.instructions += 1;
-                    self.stats.cycles +=
-                        $f2.cost2 as u64 + self.icache.access(dop.addr + $f2.a2off as u64);
+                };
+            }
+            // `ret` at instruction `$at`.
+            macro_rules! ret {
+                ($at:expr) => {{
+                    self.charge_avx_transition();
+                    self.stats.rets += 1;
+                    let ra = self.pop_word()?;
+                    h.ret(self, $at);
+                    if ra == EXIT_SENTINEL {
+                        return Ok(ExitStatus::Exited(self.regs.get(Gpr::Rax) as i64));
+                    }
+                    jump_to!(ra);
                 }};
+            }
+            // The straight-line first half of a control pair, then the
+            // charge of its second half.
+            macro_rules! first_half {
+                ($op:expr, $f2:expr) => {
+                    self.exec_single(&$op, dop.addr)?;
+                    self.charge_second(h, idx, dop.addr, $f2)?;
+                };
             }
 
             match dop.op {
-                Op::MovImm { dst, imm } => self.regs.set(dst, imm),
-                Op::MovReg { dst, src } => {
-                    let v = self.regs.get(src);
-                    self.regs.set(dst, v);
-                }
-                Op::Load { dst, mem } => {
-                    let a = self.ea(&mem);
-                    let v = try_mem!(self.mem.read_u64(a));
-                    self.regs.set(dst, v);
-                }
-                Op::Store { mem, src } => {
-                    let a = self.ea(&mem);
-                    let v = self.regs.get(src);
-                    try_mem!(self.mem.write_u64(a, v));
-                }
-                Op::StoreImm { mem, imm } => {
-                    let a = self.ea(&mem);
-                    try_mem!(self.mem.write_u64(a, imm as i64 as u64));
-                }
-                Op::Lea { dst, mem } => {
-                    let a = self.ea(&mem);
-                    self.regs.set(dst, a);
-                }
-                Op::Push { src } => {
-                    let v = self.regs.get(src);
-                    try_mem!(self.push_word(v));
-                }
-                Op::PushImm { imm } => try_mem!(self.push_word(imm)),
-                Op::Pop { dst } => {
-                    let v = try_mem!(self.pop_word());
-                    self.regs.set(dst, v);
-                }
-                Op::AluReg { op, dst, src } => {
-                    let a = self.regs.get(dst);
-                    let b = self.regs.get(src);
-                    let r = alu(op, a, b);
-                    self.regs.set(dst, r);
-                    self.regs.flags.set_result(r);
-                }
-                Op::AluImm { op, dst, imm } => {
-                    let a = self.regs.get(dst);
-                    let r = alu(op, a, imm as i64 as u64);
-                    self.regs.set(dst, r);
-                    self.regs.flags.set_result(r);
-                }
-                Op::Div { dst, src } => {
-                    let b = self.regs.get(src) as i64;
-                    if b == 0 {
-                        fault!(Fault::DivideByZero { addr: dop.addr });
-                    }
-                    let a = self.regs.get(dst) as i64;
-                    self.regs.set(dst, a.wrapping_div(b) as u64);
-                }
-                Op::Rem { dst, src } => {
-                    let b = self.regs.get(src) as i64;
-                    if b == 0 {
-                        fault!(Fault::DivideByZero { addr: dop.addr });
-                    }
-                    let a = self.regs.get(dst) as i64;
-                    self.regs.set(dst, a.wrapping_rem(b) as u64);
-                }
-                Op::CmpReg { a, b } => {
-                    let (x, y) = (self.regs.get(a), self.regs.get(b));
-                    self.regs.flags.set_cmp(x, y);
-                }
-                Op::CmpImm { a, imm } => {
-                    let x = self.regs.get(a);
-                    self.regs.flags.set_cmp(x, imm as i64 as u64);
-                }
-                Op::Test { a } => {
-                    let x = self.regs.get(a);
-                    self.regs.flags.set_test(x, x);
-                }
-                Op::SetCc { cond, dst } => {
-                    let v = self.cond_holds(cond) as u64;
-                    self.regs.set(dst, v);
-                }
-                Op::LoadAbs { dst, addr: a } => {
-                    let v = try_mem!(self.mem.read_u64(a));
-                    self.regs.set(dst, v);
-                }
-                Op::VLoadAbs { dst, addr: a } => {
-                    if a % 32 != 0 {
-                        fault!(Fault::Misaligned { addr: a, align: 32 });
-                    }
-                    let mut buf = [0u8; 32];
-                    try_mem!(self.mem.read(a, &mut buf));
-                    self.regs.set_ymm(dst, buf);
-                    self.ymm_dirty = true;
-                }
                 Op::Call { tgt, ra } => {
                     self.charge_avx_transition();
                     self.stats.calls += 1;
-                    try_mem!(self.push_word(ra));
+                    self.push_word(ra)?;
+                    h.call(self, idx, None);
                     direct_jump!(tgt, idx);
                 }
                 Op::CallInd { target, ra } => {
                     self.charge_avx_transition();
                     self.stats.calls += 1;
                     let t = self.regs.get(target);
-                    try_mem!(self.push_word(ra));
+                    self.push_word(ra)?;
+                    h.call(self, idx, Some(t));
                     jump_to!(t);
                 }
                 Op::CallNative { native, is_probe } => {
                     self.stats.native_calls += 1;
-                    if let Err(f) = self.do_native(native, dop.addr) {
-                        fault!(f);
-                    }
+                    self.do_native(native, dop.addr)?;
+                    h.native(self, native);
                     if self.cfg.break_on_probe && is_probe {
                         self.pending_resume = Some(idx + 1);
-                        return self.finish(ExitStatus::Probed);
+                        return Ok(ExitStatus::Probed);
                     }
                 }
-                Op::Ret => {
-                    self.charge_avx_transition();
-                    self.stats.rets += 1;
-                    let ra = try_mem!(self.pop_word());
-                    if ra == EXIT_SENTINEL {
-                        let rax = self.regs.get(Gpr::Rax);
-                        return self.finish(ExitStatus::Exited(rax as i64));
-                    }
-                    jump_to!(ra);
-                }
+                Op::Ret => ret!(idx),
                 Op::Jmp { tgt } => direct_jump!(tgt, idx),
-                Op::JmpInd { target } => {
-                    let t = self.regs.get(target);
-                    jump_to!(t);
-                }
+                Op::JmpInd { target } => jump_to!(self.regs.get(target)),
                 Op::Jcc {
                     cond,
                     tgt,
                     taken_extra,
-                } => {
-                    if self.cond_holds(cond) {
-                        self.stats.cycles += taken_extra as u64;
-                        direct_jump!(tgt, idx);
-                    }
-                }
-                Op::Nop => {}
-                Op::Trap => fault!(Fault::BoobyTrap { addr: dop.addr }),
-                Op::VLoad { dst, mem, aligned } => {
-                    let a = self.ea(&mem);
-                    if aligned && !a.is_multiple_of(32) {
-                        fault!(Fault::Misaligned { addr: a, align: 32 });
-                    }
-                    let mut buf = [0u8; 32];
-                    try_mem!(self.mem.read(a, &mut buf));
-                    self.regs.set_ymm(dst, buf);
-                    self.ymm_dirty = true;
-                }
-                Op::VStore { mem, src, aligned } => {
-                    let a = self.ea(&mem);
-                    if aligned && !a.is_multiple_of(32) {
-                        fault!(Fault::Misaligned { addr: a, align: 32 });
-                    }
-                    let buf = self.regs.get_ymm(src);
-                    try_mem!(self.mem.write(a, &buf));
-                    self.ymm_dirty = true;
-                }
-                Op::VZeroUpper => {
-                    self.regs.vzeroupper();
-                    self.ymm_dirty = false;
-                }
-                Op::Halt => {
-                    let code = self.regs.get(Gpr::Rdi);
-                    return self.finish(ExitStatus::Exited(code as i64));
-                }
+                } => jcc!(cond, tgt, taken_extra, idx),
+                Op::Trap => return Err(Fault::BoobyTrap { addr: dop.addr }),
+                Op::Halt => return Ok(ExitStatus::Exited(self.regs.get(Gpr::Rdi) as i64)),
 
-                // --- fused superinstructions -------------------------
-                Op::MovRegAluReg {
-                    dst1,
-                    src1,
-                    op,
-                    dst2,
-                    src2,
-                    f2,
-                } => {
-                    let v = self.regs.get(src1);
-                    self.regs.set(dst1, v);
-                    second!(f2);
-                    let a = self.regs.get(dst2);
-                    let b = self.regs.get(src2);
-                    let r = alu(op, a, b);
-                    self.regs.set(dst2, r);
-                    self.regs.flags.set_result(r);
-                    idx += 1;
-                }
-                Op::AluRegMovReg {
-                    op,
-                    dst1,
-                    src1,
-                    dst2,
-                    src2,
-                    f2,
-                } => {
-                    let a = self.regs.get(dst1);
-                    let b = self.regs.get(src1);
-                    let r = alu(op, a, b);
-                    self.regs.set(dst1, r);
-                    self.regs.flags.set_result(r);
-                    second!(f2);
-                    let v = self.regs.get(src2);
-                    self.regs.set(dst2, v);
-                    idx += 1;
-                }
-                Op::MovImmMovReg {
-                    dst1,
-                    imm,
-                    dst2,
-                    src2,
-                    f2,
-                } => {
-                    self.regs.set(dst1, imm);
-                    second!(f2);
-                    let v = self.regs.get(src2);
-                    self.regs.set(dst2, v);
-                    idx += 1;
-                }
-                Op::MovRegMovImm {
-                    dst1,
-                    src1,
-                    dst2,
-                    imm,
-                    f2,
-                } => {
-                    let v = self.regs.get(src1);
-                    self.regs.set(dst1, v);
-                    second!(f2);
-                    self.regs.set(dst2, imm);
-                    idx += 1;
-                }
-                Op::MovRegStore {
-                    dst1,
-                    src1,
-                    mem,
-                    src2,
-                    f2,
-                } => {
-                    let v = self.regs.get(src1);
-                    self.regs.set(dst1, v);
-                    second!(f2);
-                    let a = self.ea(&mem);
-                    let v = self.regs.get(src2);
-                    try_mem!(self.mem.write_u64(a, v));
-                    idx += 1;
-                }
-                Op::LoadMovReg {
-                    dst1,
-                    mem,
-                    dst2,
-                    src2,
-                    f2,
-                } => {
-                    let a = self.ea(&mem);
-                    let v = try_mem!(self.mem.read_u64(a));
-                    self.regs.set(dst1, v);
-                    second!(f2);
-                    let v = self.regs.get(src2);
-                    self.regs.set(dst2, v);
-                    idx += 1;
-                }
-                Op::StoreLoad {
-                    smem,
-                    src,
-                    dst,
-                    lmem,
-                    f2,
-                } => {
-                    let a = self.ea(&smem);
-                    let v = self.regs.get(src);
-                    try_mem!(self.mem.write_u64(a, v));
-                    second!(f2);
-                    let a = self.ea(&lmem);
-                    let v = try_mem!(self.mem.read_u64(a));
-                    self.regs.set(dst, v);
-                    idx += 1;
-                }
-                Op::LeaMovReg {
-                    dst1,
-                    mem,
-                    dst2,
-                    src2,
-                    f2,
-                } => {
-                    let a = self.ea(&mem);
-                    self.regs.set(dst1, a);
-                    second!(f2);
-                    let v = self.regs.get(src2);
-                    self.regs.set(dst2, v);
-                    idx += 1;
-                }
+                // --- control pairs ----------------------------------
                 Op::CmpRegJcc {
                     a,
                     b,
@@ -912,13 +669,8 @@ impl Vm {
                     taken_extra,
                     f2,
                 } => {
-                    let (x, y) = (self.regs.get(a), self.regs.get(b));
-                    self.regs.flags.set_cmp(x, y);
-                    second!(f2);
-                    if self.cond_holds(cond) {
-                        self.stats.cycles += taken_extra as u64;
-                        direct_jump!(tgt, idx + 1);
-                    }
+                    first_half!(Op::CmpReg { a, b }, f2);
+                    jcc!(cond, tgt, taken_extra, idx + 1);
                     idx += 1;
                 }
                 Op::CmpImmJcc {
@@ -929,13 +681,8 @@ impl Vm {
                     taken_extra,
                     f2,
                 } => {
-                    let x = self.regs.get(a);
-                    self.regs.flags.set_cmp(x, imm as i64 as u64);
-                    second!(f2);
-                    if self.cond_holds(cond) {
-                        self.stats.cycles += taken_extra as u64;
-                        direct_jump!(tgt, idx + 1);
-                    }
+                    first_half!(Op::CmpImm { a, imm }, f2);
+                    jcc!(cond, tgt, taken_extra, idx + 1);
                     idx += 1;
                 }
                 Op::TestJcc {
@@ -945,145 +692,41 @@ impl Vm {
                     taken_extra,
                     f2,
                 } => {
-                    let x = self.regs.get(a);
-                    self.regs.flags.set_test(x, x);
-                    second!(f2);
-                    if self.cond_holds(cond) {
-                        self.stats.cycles += taken_extra as u64;
-                        direct_jump!(tgt, idx + 1);
-                    }
-                    idx += 1;
-                }
-                Op::CmpRegSetCc {
-                    a,
-                    b,
-                    cond,
-                    dst,
-                    f2,
-                } => {
-                    let (x, y) = (self.regs.get(a), self.regs.get(b));
-                    self.regs.flags.set_cmp(x, y);
-                    second!(f2);
-                    let v = self.cond_holds(cond) as u64;
-                    self.regs.set(dst, v);
-                    idx += 1;
-                }
-                Op::PushPush { s1, s2, f2 } => {
-                    let v = self.regs.get(s1);
-                    try_mem!(self.push_word(v));
-                    second!(f2);
-                    let v = self.regs.get(s2);
-                    try_mem!(self.push_word(v));
-                    idx += 1;
-                }
-                Op::PopPop { d1, d2, f2 } => {
-                    let v = try_mem!(self.pop_word());
-                    self.regs.set(d1, v);
-                    second!(f2);
-                    let v = try_mem!(self.pop_word());
-                    self.regs.set(d2, v);
+                    first_half!(Op::Test { a }, f2);
+                    jcc!(cond, tgt, taken_extra, idx + 1);
                     idx += 1;
                 }
                 Op::PopRet { d1, f2 } => {
-                    let v = try_mem!(self.pop_word());
-                    self.regs.set(d1, v);
-                    second!(f2);
-                    self.charge_avx_transition();
-                    self.stats.rets += 1;
-                    let ra = try_mem!(self.pop_word());
-                    if ra == EXIT_SENTINEL {
-                        let rax = self.regs.get(Gpr::Rax);
-                        return self.finish(ExitStatus::Exited(rax as i64));
-                    }
-                    jump_to!(ra);
+                    first_half!(Op::Pop { dst: d1 }, f2);
+                    ret!(idx + 1);
                 }
 
                 // --- block run: the straight-line tail of a basic
                 // block under one dispatch ---------------------------
-                Op::MovImmAluQuad { .. }
-                | Op::MovImmAluQuadPair { .. }
-                | Op::AluImmQuad { .. }
-                | Op::AluImmQuadPair { .. } => {
-                    unreachable!("quad entries exist only in run effect streams")
-                }
                 Op::Run { run } => {
                     self.edges.runs_entered += 1;
                     let ri = &prog.runs[run as usize];
                     // The loop preamble charged the leader like any
                     // other op; execute its (standalone) effect.
-                    if let Err((f, _)) = self.exec_member(&ri.leader, dop.addr) {
-                        fault!(f);
-                    }
+                    self.exec_single(&ri.leader, dop.addr)?;
                     let m = ri.n as u64 - 1;
                     // Budget edge: the members would cross the budget
-                    // mark mid-run. Let the reference engine finish the
-                    // block instruction by instruction (cold — reached
-                    // at most once per execution).
+                    // mark mid-run. Go on dispatching them one decoded
+                    // op at a time — each checks the budget itself
+                    // (cold — reached at most once per execution). A
+                    // tracer that needs per-function exactness splits a
+                    // run straddling a function start the same way.
                     if self.stats.instructions + m > self.cfg.insn_budget {
                         self.edges.slow_path_handoffs += 1;
-                        return self.exec_slow(idx + 1);
+                    } else if !h.split_run(self, idx, ri.n) {
+                        self.exec_run_members(h, &prog, ri, idx)?;
+                        idx += ri.n as u32 - 1;
                     }
-                    // Batch-charge every member up front, and touch the
-                    // icache once per same-line segment as that segment
-                    // is reached. Both are exact: intermediate stamp
-                    // values inside a same-line span are dead, and the
-                    // (rare) fault path below un-books precisely the
-                    // charges of members that were never reached.
-                    self.stats.instructions += m;
-                    self.stats.cycles += ri.members_cost;
-                    let base = idx as usize + 1;
-                    let segs = &prog.run_segs
-                        [ri.seg_start as usize..ri.seg_start as usize + ri.seg_count as usize];
-                    let line_size = self.icache.line_size();
-                    let mut done = 0u64;
-                    for seg in segs {
-                        self.stats.cycles += self.icache.access_span(seg.line, seg.count as u64);
-                        let seg_base = seg.line * line_size;
-                        let entries = &prog.run_ops
-                            [seg.first as usize..seg.first as usize + seg.n_ops as usize];
-                        let mut rest = entries;
-                        while let [e, tail @ ..] = rest {
-                            match e.op {
-                                // Pair head: this quad plus the next
-                                // entry's quad, one dispatch. Neither
-                                // can fault. A pair head always has its
-                                // partner entry behind it.
-                                Op::AluImmQuadPair { .. } => {
-                                    self.alu_imm_quad_effects(&e.op);
-                                    self.quad_effects(&tail[0].op);
-                                    rest = &tail[1..];
-                                    continue;
-                                }
-                                Op::MovImmAluQuadPair { .. } => {
-                                    self.quad_effects(&e.op);
-                                    self.quad_effects(&tail[0].op);
-                                    rest = &tail[1..];
-                                    continue;
-                                }
-                                _ => {}
-                            }
-                            rest = tail;
-                            if let Err((f, half)) = self.exec_member(&e.op, seg_base + e.off as u64)
-                            {
-                                // Un-book the members past the faulting
-                                // one — they never ran. Its own charges
-                                // stay: the reference engine charges
-                                // count/cost/icache before the effect.
-                                let k = e.k as u64 + half;
-                                self.edges.run_rollbacks += 1;
-                                self.stats.instructions -= m - (k + 1);
-                                for u in &ops[base + k as usize + 1..base + m as usize] {
-                                    self.stats.cycles -= u.cost as u64;
-                                }
-                                self.icache
-                                    .rollback_pending(seg.count as u64 - 1 - (k - done));
-                                fault!(f);
-                            }
-                        }
-                        done += seg.count as u64;
-                    }
-                    idx += ri.n as u32 - 1;
                 }
+                op => match self.exec_member::<H, true>(h, &op, dop.addr, idx) {
+                    Ok(n) => idx += n - 1,
+                    Err((f, _)) => return Err(f),
+                },
             }
             idx += 1;
             if idx as usize >= ops.len() {
@@ -1091,15 +734,85 @@ impl Vm {
                 // past the last *executed* instruction (the second half
                 // for fused ops, since they advanced `idx` once already).
                 let last = (idx - 1) as usize;
-                return self.finish(ExitStatus::Faulted(Fault::InvalidJump {
+                return Err(Fault::InvalidJump {
                     target: prog.insn_addrs[last] + prog.insns[last].len(),
-                }));
+                });
             }
         }
     }
 
+    /// Runs the members of a block run led by instruction `idx` under
+    /// one dispatch. Every member is batch-charged up front and the
+    /// icache is touched once per same-line segment as that segment is
+    /// reached. Both are exact: intermediate stamp values inside a
+    /// same-line span are dead, and the (rare) fault path un-books
+    /// precisely the charges of members that were never reached.
+    #[inline(always)]
+    fn exec_run_members<H: Hooks>(
+        &mut self,
+        h: &mut H,
+        prog: &DecodedProgram,
+        ri: &RunInfo,
+        idx: u32,
+    ) -> Result<(), Fault> {
+        let m = ri.n as u64 - 1;
+        self.stats.instructions += m;
+        self.stats.cycles += ri.members_cost;
+        let base = idx as usize + 1;
+        let segs =
+            &prog.run_segs[ri.seg_start as usize..ri.seg_start as usize + ri.seg_count as usize];
+        let line_size = self.icache.line_size();
+        let mut done = 0u64;
+        for seg in segs {
+            self.stats.cycles += self.icache.access_span(seg.line, seg.count as u64);
+            let seg_base = seg.line * line_size;
+            let mut rest =
+                &prog.run_ops[seg.first as usize..seg.first as usize + seg.n_ops as usize];
+            while let [e, tail @ ..] = rest {
+                match e.op {
+                    // Pair head: this quad plus the next entry's quad,
+                    // one dispatch. Neither can fault. A pair head
+                    // always has its partner entry behind it.
+                    Op::AluImmQuadPair { .. } => {
+                        self.alu_imm_quad_effects(&e.op);
+                        self.quad_effects(&tail[0].op);
+                        rest = &tail[1..];
+                        continue;
+                    }
+                    Op::MovImmAluQuadPair { .. } => {
+                        self.quad_effects(&e.op);
+                        self.quad_effects(&tail[0].op);
+                        rest = &tail[1..];
+                        continue;
+                    }
+                    _ => {}
+                }
+                rest = tail;
+                if let Err((f, half)) =
+                    self.exec_member::<H, false>(h, &e.op, seg_base + e.off as u64, 0)
+                {
+                    // Un-book the members past the faulting one — they
+                    // never ran. Its own charges stay: every instruction
+                    // is charged count/cost/icache before its effect.
+                    let k = e.k as u64 + half;
+                    self.edges.run_rollbacks += 1;
+                    self.stats.instructions -= m - (k + 1);
+                    for u in &prog.ops[base + k as usize + 1..base + m as usize] {
+                        self.stats.cycles -= u.cost as u64;
+                    }
+                    self.icache
+                        .rollback_pending(seg.count as u64 - 1 - (k - done));
+                    return Err(f);
+                }
+            }
+            done += seg.count as u64;
+        }
+        Ok(())
+    }
+
     /// Register/flag effects of a [`Op::MovImmAluQuad`] (or a pair
-    /// head, whose own fields are an identical quad). Cannot fault.
+    /// head, whose own fields are an identical quad): its four
+    /// instructions' single effects in order. Cannot fault.
     #[inline(always)]
     fn quad_effects(&mut self, op: &Op) {
         let (Op::MovImmAluQuad {
@@ -1127,16 +840,17 @@ impl Vm {
         else {
             return self.alu_imm_quad_effects(op);
         };
-        self.regs.set(a, imm);
-        let v = self.regs.get(bs);
-        self.regs.set(bd, v);
-        let x = self.regs.get(cd);
-        let y = self.regs.get(cs);
-        let r = alu(op, x, y);
-        self.regs.set(cd, r);
-        self.regs.flags.set_result(r);
-        let v = self.regs.get(ds);
-        self.regs.set(dd, v);
+        let _ = self.exec_single(&Op::MovImm { dst: a, imm }, 0);
+        let _ = self.exec_single(&Op::MovReg { dst: bd, src: bs }, 0);
+        let _ = self.exec_single(
+            &Op::AluReg {
+                op,
+                dst: cd,
+                src: cs,
+            },
+            0,
+        );
+        let _ = self.exec_single(&Op::MovReg { dst: dd, src: ds }, 0);
     }
 
     /// Effects of the operand-chained quad: same final register, flag,
@@ -1171,24 +885,187 @@ impl Vm {
         self.regs.set(dst, r);
     }
 
-    /// Executes the effect of one entry of a block run: a straight-line
-    /// single or a non-control fused pair. No budget, instruction-count,
-    /// cycle, or icache accounting happens here — the `Op::Run` arm
-    /// batch-charges those — so this is exactly the effect half of the
-    /// corresponding `exec_fast` arm(s). On a fault, the second tuple
-    /// element is the number of the entry's instructions that completed
-    /// before it (0, or 1 when the second half of a pair faulted), so
-    /// the caller can attribute rollback to the exact member.
+    /// Executes one entry of the effect path — a straight-line single,
+    /// a non-control fused pair (its two singles' effects in order), or
+    /// a run-stream quad — and returns the number of original
+    /// instructions executed. This is the function every dispatch of a
+    /// non-control op goes through: top-level ops, run leaders and run
+    /// effect streams.
+    ///
+    /// With `CHARGE`, a pair charges its second half between the halves
+    /// ([`Vm::charge_second`], which needs `idx`, the first half's
+    /// instruction index); without it (block runs, which batch-charge)
+    /// no accounting happens here. On a fault, the second tuple element
+    /// is the number of the entry's instructions that completed before
+    /// it (0, or 1 when the second half of a pair faulted), so a run
+    /// can roll back to the exact member.
     #[inline(always)]
-    fn exec_member(&mut self, op: &Op, addr: VAddr) -> Result<(), (Fault, u64)> {
-        macro_rules! try_at {
-            ($e:expr, $half:expr) => {
-                match $e {
-                    Ok(v) => v,
-                    Err(f) => return Err((f, $half)),
+    fn exec_member<H: Hooks, const CHARGE: bool>(
+        &mut self,
+        h: &mut H,
+        op: &Op,
+        addr: VAddr,
+        idx: u32,
+    ) -> Result<u32, (Fault, u64)> {
+        macro_rules! pair {
+            ($first:expr, $f2:expr, $second:expr) => {{
+                self.exec_single(&$first, addr).map_err(|f| (f, 0))?;
+                if CHARGE {
+                    self.charge_second(h, idx, addr, $f2).map_err(|f| (f, 1))?;
                 }
-            };
+                let addr2 = addr + $f2.a2off as u64;
+                self.exec_single(&$second, addr2).map_err(|f| (f, 1))?;
+                Ok(2)
+            }};
         }
+        match *op {
+            Op::MovRegAluReg {
+                dst1,
+                src1,
+                op,
+                dst2,
+                src2,
+                f2,
+            } => pair!(
+                Op::MovReg {
+                    dst: dst1,
+                    src: src1
+                },
+                f2,
+                Op::AluReg {
+                    op,
+                    dst: dst2,
+                    src: src2
+                }
+            ),
+            Op::AluRegMovReg {
+                op,
+                dst1,
+                src1,
+                dst2,
+                src2,
+                f2,
+            } => pair!(
+                Op::AluReg {
+                    op,
+                    dst: dst1,
+                    src: src1
+                },
+                f2,
+                Op::MovReg {
+                    dst: dst2,
+                    src: src2
+                }
+            ),
+            Op::MovImmMovReg {
+                dst1,
+                imm,
+                dst2,
+                src2,
+                f2,
+            } => pair!(
+                Op::MovImm { dst: dst1, imm },
+                f2,
+                Op::MovReg {
+                    dst: dst2,
+                    src: src2
+                }
+            ),
+            Op::MovRegMovImm {
+                dst1,
+                src1,
+                dst2,
+                imm,
+                f2,
+            } => pair!(
+                Op::MovReg {
+                    dst: dst1,
+                    src: src1
+                },
+                f2,
+                Op::MovImm { dst: dst2, imm }
+            ),
+            Op::MovRegStore {
+                dst1,
+                src1,
+                mem,
+                src2,
+                f2,
+            } => pair!(
+                Op::MovReg {
+                    dst: dst1,
+                    src: src1
+                },
+                f2,
+                Op::Store { mem, src: src2 }
+            ),
+            Op::LoadMovReg {
+                dst1,
+                mem,
+                dst2,
+                src2,
+                f2,
+            } => pair!(
+                Op::Load { dst: dst1, mem },
+                f2,
+                Op::MovReg {
+                    dst: dst2,
+                    src: src2
+                }
+            ),
+            Op::StoreLoad {
+                smem,
+                src,
+                dst,
+                lmem,
+                f2,
+            } => pair!(
+                Op::Store { mem: smem, src },
+                f2,
+                Op::Load { dst, mem: lmem }
+            ),
+            Op::LeaMovReg {
+                dst1,
+                mem,
+                dst2,
+                src2,
+                f2,
+            } => pair!(
+                Op::Lea { dst: dst1, mem },
+                f2,
+                Op::MovReg {
+                    dst: dst2,
+                    src: src2
+                }
+            ),
+            Op::CmpRegSetCc {
+                a,
+                b,
+                cond,
+                dst,
+                f2,
+            } => pair!(Op::CmpReg { a, b }, f2, Op::SetCc { cond, dst }),
+            Op::PushPush { s1, s2, f2 } => {
+                pair!(Op::Push { src: s1 }, f2, Op::Push { src: s2 })
+            }
+            Op::PopPop { d1, d2, f2 } => pair!(Op::Pop { dst: d1 }, f2, Op::Pop { dst: d2 }),
+            // Effect-only quad entries (run streams only).
+            Op::MovImmAluQuad { .. } | Op::AluImmQuad { .. } => {
+                self.quad_effects(op);
+                Ok(4)
+            }
+            Op::MovImmAluQuadPair { .. } | Op::AluImmQuadPair { .. } => {
+                unreachable!("quad pair heads are handled by the run entry loop")
+            }
+            _ => self.exec_single(op, addr).map(|()| 1).map_err(|f| (f, 0)),
+        }
+    }
+
+    /// The effect of one non-control instruction at `addr` — the one
+    /// copy of the single-instruction semantics, which every fused pair
+    /// and quad composes. No accounting happens here.
+    #[inline(always)]
+    fn exec_single(&mut self, op: &Op, addr: VAddr) -> Result<(), Fault> {
         match *op {
             Op::MovImm { dst, imm } => self.regs.set(dst, imm),
             Op::MovReg { dst, src } => {
@@ -1196,18 +1073,17 @@ impl Vm {
                 self.regs.set(dst, v);
             }
             Op::Load { dst, mem } => {
-                let a = self.ea(&mem);
-                let v = try_at!(self.mem.read_u64(a), 0);
+                let v = self.mem.read_u64(self.ea(&mem))?;
                 self.regs.set(dst, v);
             }
             Op::Store { mem, src } => {
                 let a = self.ea(&mem);
                 let v = self.regs.get(src);
-                try_at!(self.mem.write_u64(a, v), 0);
+                self.mem.write_u64(a, v)?;
             }
             Op::StoreImm { mem, imm } => {
                 let a = self.ea(&mem);
-                try_at!(self.mem.write_u64(a, imm as i64 as u64), 0);
+                self.mem.write_u64(a, imm as i64 as u64)?;
             }
             Op::Lea { dst, mem } => {
                 let a = self.ea(&mem);
@@ -1215,41 +1091,35 @@ impl Vm {
             }
             Op::Push { src } => {
                 let v = self.regs.get(src);
-                try_at!(self.push_word(v), 0);
+                self.push_word(v)?;
             }
-            Op::PushImm { imm } => try_at!(self.push_word(imm), 0),
+            Op::PushImm { imm } => self.push_word(imm)?,
             Op::Pop { dst } => {
-                let v = try_at!(self.pop_word(), 0);
+                let v = self.pop_word()?;
                 self.regs.set(dst, v);
             }
             Op::AluReg { op, dst, src } => {
-                let a = self.regs.get(dst);
-                let b = self.regs.get(src);
-                let r = alu(op, a, b);
+                let r = alu(op, self.regs.get(dst), self.regs.get(src));
                 self.regs.set(dst, r);
                 self.regs.flags.set_result(r);
             }
             Op::AluImm { op, dst, imm } => {
-                let a = self.regs.get(dst);
-                let r = alu(op, a, imm as i64 as u64);
+                let r = alu(op, self.regs.get(dst), imm as i64 as u64);
                 self.regs.set(dst, r);
                 self.regs.flags.set_result(r);
             }
-            Op::Div { dst, src } => {
+            Op::Div { dst, src } | Op::Rem { dst, src } => {
                 let b = self.regs.get(src) as i64;
                 if b == 0 {
-                    return Err((Fault::DivideByZero { addr }, 0));
+                    return Err(Fault::DivideByZero { addr });
                 }
                 let a = self.regs.get(dst) as i64;
-                self.regs.set(dst, a.wrapping_div(b) as u64);
-            }
-            Op::Rem { dst, src } => {
-                let b = self.regs.get(src) as i64;
-                if b == 0 {
-                    return Err((Fault::DivideByZero { addr }, 0));
-                }
-                let a = self.regs.get(dst) as i64;
-                self.regs.set(dst, a.wrapping_rem(b) as u64);
+                let r = if matches!(op, Op::Div { .. }) {
+                    a.wrapping_div(b)
+                } else {
+                    a.wrapping_rem(b)
+                };
+                self.regs.set(dst, r as u64);
             }
             Op::CmpReg { a, b } => {
                 let (x, y) = (self.regs.get(a), self.regs.get(b));
@@ -1268,35 +1138,18 @@ impl Vm {
                 self.regs.set(dst, v);
             }
             Op::LoadAbs { dst, addr: a } => {
-                let v = try_at!(self.mem.read_u64(a), 0);
+                let v = self.mem.read_u64(a)?;
                 self.regs.set(dst, v);
             }
-            Op::VLoadAbs { dst, addr: a } => {
-                if a % 32 != 0 {
-                    return Err((Fault::Misaligned { addr: a, align: 32 }, 0));
-                }
-                let mut buf = [0u8; 32];
-                try_at!(self.mem.read(a, &mut buf), 0);
-                self.regs.set_ymm(dst, buf);
-                self.ymm_dirty = true;
-            }
-            Op::VLoad { dst, mem, aligned } => {
-                let a = self.ea(&mem);
-                if aligned && !a.is_multiple_of(32) {
-                    return Err((Fault::Misaligned { addr: a, align: 32 }, 0));
-                }
-                let mut buf = [0u8; 32];
-                try_at!(self.mem.read(a, &mut buf), 0);
-                self.regs.set_ymm(dst, buf);
-                self.ymm_dirty = true;
-            }
+            Op::VLoadAbs { dst, addr: a } => self.vload(dst, a, true)?,
+            Op::VLoad { dst, mem, aligned } => self.vload(dst, self.ea(&mem), aligned)?,
             Op::VStore { mem, src, aligned } => {
                 let a = self.ea(&mem);
                 if aligned && !a.is_multiple_of(32) {
-                    return Err((Fault::Misaligned { addr: a, align: 32 }, 0));
+                    return Err(Fault::Misaligned { addr: a, align: 32 });
                 }
                 let buf = self.regs.get_ymm(src);
-                try_at!(self.mem.write(a, &buf), 0);
+                self.mem.write(a, &buf)?;
                 self.ymm_dirty = true;
             }
             Op::VZeroUpper => {
@@ -1304,381 +1157,43 @@ impl Vm {
                 self.ymm_dirty = false;
             }
             Op::Nop => {}
-            // --- effect-only pair/quad entries (run streams fuse
-            // adjacent members with no accounting between halves) ---
-            Op::MovImmAluQuad { .. } | Op::AluImmQuad { .. } => self.quad_effects(op),
-            Op::MovImmAluQuadPair { .. } | Op::AluImmQuadPair { .. } => {
-                unreachable!("quad pair heads are handled by the run entry loop")
-            }
-            // --- effect-only pair entries (run streams pair adjacent
-            // members with no accounting between halves) ---
-            Op::MovRegAluReg {
-                dst1,
-                src1,
-                op,
-                dst2,
-                src2,
-                ..
-            } => {
-                let v = self.regs.get(src1);
-                self.regs.set(dst1, v);
-                let a = self.regs.get(dst2);
-                let b = self.regs.get(src2);
-                let r = alu(op, a, b);
-                self.regs.set(dst2, r);
-                self.regs.flags.set_result(r);
-            }
-            Op::AluRegMovReg {
-                op,
-                dst1,
-                src1,
-                dst2,
-                src2,
-                ..
-            } => {
-                let a = self.regs.get(dst1);
-                let b = self.regs.get(src1);
-                let r = alu(op, a, b);
-                self.regs.set(dst1, r);
-                self.regs.flags.set_result(r);
-                let v = self.regs.get(src2);
-                self.regs.set(dst2, v);
-            }
-            Op::MovImmMovReg {
-                dst1,
-                imm,
-                dst2,
-                src2,
-                ..
-            } => {
-                self.regs.set(dst1, imm);
-                let v = self.regs.get(src2);
-                self.regs.set(dst2, v);
-            }
-            Op::MovRegMovImm {
-                dst1,
-                src1,
-                dst2,
-                imm,
-                ..
-            } => {
-                let v = self.regs.get(src1);
-                self.regs.set(dst1, v);
-                self.regs.set(dst2, imm);
-            }
-            Op::MovRegStore {
-                dst1,
-                src1,
-                mem,
-                src2,
-                ..
-            } => {
-                let v = self.regs.get(src1);
-                self.regs.set(dst1, v);
-                let a = self.ea(&mem);
-                let v = self.regs.get(src2);
-                try_at!(self.mem.write_u64(a, v), 1);
-            }
-            Op::LoadMovReg {
-                dst1,
-                mem,
-                dst2,
-                src2,
-                ..
-            } => {
-                let a = self.ea(&mem);
-                let v = try_at!(self.mem.read_u64(a), 0);
-                self.regs.set(dst1, v);
-                let v = self.regs.get(src2);
-                self.regs.set(dst2, v);
-            }
-            Op::StoreLoad {
-                smem,
-                src,
-                dst,
-                lmem,
-                ..
-            } => {
-                let a = self.ea(&smem);
-                let v = self.regs.get(src);
-                try_at!(self.mem.write_u64(a, v), 0);
-                let a = self.ea(&lmem);
-                let v = try_at!(self.mem.read_u64(a), 1);
-                self.regs.set(dst, v);
-            }
-            Op::LeaMovReg {
-                dst1,
-                mem,
-                dst2,
-                src2,
-                ..
-            } => {
-                let a = self.ea(&mem);
-                self.regs.set(dst1, a);
-                let v = self.regs.get(src2);
-                self.regs.set(dst2, v);
-            }
-            Op::CmpRegSetCc {
-                a, b, cond, dst, ..
-            } => {
-                let (x, y) = (self.regs.get(a), self.regs.get(b));
-                self.regs.flags.set_cmp(x, y);
-                let v = self.cond_holds(cond) as u64;
-                self.regs.set(dst, v);
-            }
-            Op::PushPush { s1, s2, .. } => {
-                let v = self.regs.get(s1);
-                try_at!(self.push_word(v), 0);
-                let v = self.regs.get(s2);
-                try_at!(self.push_word(v), 1);
-            }
-            Op::PopPop { d1, d2, .. } => {
-                let v = try_at!(self.pop_word(), 0);
-                self.regs.set(d1, v);
-                let v = try_at!(self.pop_word(), 1);
-                self.regs.set(d2, v);
-            }
-            _ => unreachable!("control op inside a block run"),
+            _ => unreachable!("control or fused op in the single-effect path"),
         }
         Ok(())
     }
 
-    /// The reference engine: the original per-[`Insn`] interpreter,
-    /// unchanged. Runs trace-enabled VMs (all tracer hooks are here)
-    /// and serves as the semantic baseline for the fast path.
-    fn exec_slow(&mut self, mut idx: u32) -> RunOutcome {
-        let prog = Arc::clone(&self.prog);
-        loop {
-            if self.stats.instructions >= self.cfg.insn_budget {
-                return self.finish(ExitStatus::Faulted(Fault::BudgetExhausted));
-            }
-            let insn = prog.insns[idx as usize];
-            let addr = prog.insn_addrs[idx as usize];
-            if let Some(tr) = &mut self.tracer {
-                // Counters *before* this instruction is charged: the
-                // delta since the previous step is the full cost of the
-                // previously executed instruction, extras included.
-                tr.step(addr, self.stats.cycles, self.icache.stats().1);
-            }
-            self.stats.instructions += 1;
-            self.stats.cycles += self.cfg.machine.base_cost(&insn) + self.icache.access(addr);
-
-            macro_rules! fault {
-                ($f:expr) => {
-                    return self.finish(ExitStatus::Faulted($f))
-                };
-            }
-            macro_rules! try_mem {
-                ($e:expr) => {
-                    match $e {
-                        Ok(v) => v,
-                        Err(f) => fault!(f),
-                    }
-                };
-            }
-            macro_rules! jump_to {
-                ($t:expr) => {{
-                    let t = $t;
-                    match self.index_of(t) {
-                        Some(i) => {
-                            idx = i;
-                            continue;
-                        }
-                        None => fault!(Fault::InvalidJump { target: t }),
-                    }
-                }};
-            }
-
-            match insn {
-                Insn::MovImm { dst, imm } | Insn::MovAbs { dst, imm } => self.regs.set(dst, imm),
-                Insn::MovReg { dst, src } => {
-                    let v = self.regs.get(src);
-                    self.regs.set(dst, v);
-                }
-                Insn::Load { dst, mem } => {
-                    let a = self.ea(&mem);
-                    let v = try_mem!(self.mem.read_u64(a));
-                    self.regs.set(dst, v);
-                }
-                Insn::Store { mem, src } => {
-                    let a = self.ea(&mem);
-                    let v = self.regs.get(src);
-                    try_mem!(self.mem.write_u64(a, v));
-                }
-                Insn::StoreImm { mem, imm } => {
-                    let a = self.ea(&mem);
-                    try_mem!(self.mem.write_u64(a, imm as i64 as u64));
-                }
-                Insn::Lea { dst, mem } => {
-                    let a = self.ea(&mem);
-                    self.regs.set(dst, a);
-                }
-                Insn::Push { src } => {
-                    let v = self.regs.get(src);
-                    try_mem!(self.push_word(v));
-                }
-                Insn::PushImm { imm } => try_mem!(self.push_word(imm)),
-                Insn::Pop { dst } => {
-                    let v = try_mem!(self.pop_word());
-                    self.regs.set(dst, v);
-                }
-                Insn::AluReg { op, dst, src } => {
-                    let a = self.regs.get(dst);
-                    let b = self.regs.get(src);
-                    let r = alu(op, a, b);
-                    self.regs.set(dst, r);
-                    self.regs.flags.set_result(r);
-                }
-                Insn::AluImm { op, dst, imm } => {
-                    let a = self.regs.get(dst);
-                    let r = alu(op, a, imm as i64 as u64);
-                    self.regs.set(dst, r);
-                    self.regs.flags.set_result(r);
-                }
-                Insn::Div { dst, src } => {
-                    let b = self.regs.get(src) as i64;
-                    if b == 0 {
-                        fault!(Fault::DivideByZero { addr });
-                    }
-                    let a = self.regs.get(dst) as i64;
-                    self.regs.set(dst, a.wrapping_div(b) as u64);
-                }
-                Insn::Rem { dst, src } => {
-                    let b = self.regs.get(src) as i64;
-                    if b == 0 {
-                        fault!(Fault::DivideByZero { addr });
-                    }
-                    let a = self.regs.get(dst) as i64;
-                    self.regs.set(dst, a.wrapping_rem(b) as u64);
-                }
-                Insn::CmpReg { a, b } => {
-                    let (x, y) = (self.regs.get(a), self.regs.get(b));
-                    self.regs.flags.set_cmp(x, y);
-                }
-                Insn::CmpImm { a, imm } => {
-                    let x = self.regs.get(a);
-                    self.regs.flags.set_cmp(x, imm as i64 as u64);
-                }
-                Insn::Test { a } => {
-                    let x = self.regs.get(a);
-                    self.regs.flags.set_test(x, x);
-                }
-                Insn::SetCc { cond, dst } => {
-                    let v = self.cond_holds(cond) as u64;
-                    self.regs.set(dst, v);
-                }
-                Insn::LoadAbs { dst, addr: a } => {
-                    let v = try_mem!(self.mem.read_u64(a));
-                    self.regs.set(dst, v);
-                }
-                Insn::VLoadAbs { dst, addr: a } => {
-                    if a % 32 != 0 {
-                        fault!(Fault::Misaligned { addr: a, align: 32 });
-                    }
-                    let mut buf = [0u8; 32];
-                    try_mem!(self.mem.read(a, &mut buf));
-                    self.regs.set_ymm(dst, buf);
-                    self.ymm_dirty = true;
-                }
-                Insn::Call { target } => {
-                    self.charge_avx_transition();
-                    self.stats.calls += 1;
-                    let ra = addr + insn.len();
-                    try_mem!(self.push_word(ra));
-                    if let Some(tr) = &mut self.tracer {
-                        tr.on_call(addr, target);
-                    }
-                    jump_to!(target);
-                }
-                Insn::CallInd { target } => {
-                    self.charge_avx_transition();
-                    self.stats.calls += 1;
-                    let t = self.regs.get(target);
-                    let ra = addr + insn.len();
-                    try_mem!(self.push_word(ra));
-                    if let Some(tr) = &mut self.tracer {
-                        tr.on_call(addr, t);
-                        tr.on_indirect(addr, t);
-                    }
-                    jump_to!(t);
-                }
-                Insn::CallNative { native } => {
-                    self.stats.native_calls += 1;
-                    if let Err(f) = self.do_native(native, addr) {
-                        fault!(f);
-                    }
-                    if self.tracer.is_some() {
-                        self.trace_native(native);
-                    }
-                    if self.cfg.break_on_probe
-                        && prog.natives.get(native as usize) == Some(&NativeKind::StackProbe)
-                    {
-                        self.pending_resume = Some(idx + 1);
-                        return self.finish(ExitStatus::Probed);
-                    }
-                }
-                Insn::Ret => {
-                    self.charge_avx_transition();
-                    self.stats.rets += 1;
-                    let ra = try_mem!(self.pop_word());
-                    if let Some(tr) = &mut self.tracer {
-                        tr.on_ret(addr);
-                    }
-                    if ra == EXIT_SENTINEL {
-                        let rax = self.regs.get(Gpr::Rax);
-                        return self.finish(ExitStatus::Exited(rax as i64));
-                    }
-                    jump_to!(ra);
-                }
-                Insn::Jmp { target } => jump_to!(target),
-                Insn::JmpInd { target } => {
-                    let t = self.regs.get(target);
-                    jump_to!(t);
-                }
-                Insn::Jcc { cond, target } => {
-                    if self.cond_holds(cond) {
-                        self.stats.cycles +=
-                            self.cfg.machine.taken_branch_cost - self.cfg.machine.branch_cost;
-                        jump_to!(target);
-                    }
-                }
-                Insn::Nop { .. } => {}
-                Insn::Trap => fault!(Fault::BoobyTrap { addr }),
-                Insn::VLoad { dst, mem, aligned } => {
-                    let a = self.ea(&mem);
-                    if aligned && !a.is_multiple_of(32) {
-                        fault!(Fault::Misaligned { addr: a, align: 32 });
-                    }
-                    let mut buf = [0u8; 32];
-                    try_mem!(self.mem.read(a, &mut buf));
-                    self.regs.set_ymm(dst, buf);
-                    self.ymm_dirty = true;
-                }
-                Insn::VStore { mem, src, aligned } => {
-                    let a = self.ea(&mem);
-                    if aligned && !a.is_multiple_of(32) {
-                        fault!(Fault::Misaligned { addr: a, align: 32 });
-                    }
-                    let buf = self.regs.get_ymm(src);
-                    try_mem!(self.mem.write(a, &buf));
-                    self.ymm_dirty = true;
-                }
-                Insn::VZeroUpper => {
-                    self.regs.vzeroupper();
-                    self.ymm_dirty = false;
-                }
-                Insn::Halt => {
-                    let code = self.regs.get(Gpr::Rdi);
-                    return self.finish(ExitStatus::Exited(code as i64));
-                }
-            }
-            idx += 1;
-            if idx as usize >= prog.insns.len() {
-                return self.finish(ExitStatus::Faulted(Fault::InvalidJump {
-                    target: addr + insn.len(),
-                }));
-            }
+    /// 32-byte vector load into `dst` (`aligned`: `vmovdqa`, which
+    /// faults on a misaligned address).
+    #[inline(always)]
+    fn vload(&mut self, dst: Ymm, a: VAddr, aligned: bool) -> Result<(), Fault> {
+        if aligned && !a.is_multiple_of(32) {
+            return Err(Fault::Misaligned { addr: a, align: 32 });
         }
+        let mut buf = [0u8; 32];
+        self.mem.read(a, &mut buf)?;
+        self.regs.set_ymm(dst, buf);
+        self.ymm_dirty = true;
+        Ok(())
+    }
+
+    /// Charges the second half of a fused top-level pair exactly as its
+    /// own dispatch would: budget check, hook, instruction count, base
+    /// cost + icache at the second instruction's own address.
+    #[inline(always)]
+    fn charge_second<H: Hooks>(
+        &mut self,
+        h: &mut H,
+        idx: u32,
+        addr: VAddr,
+        f2: F2,
+    ) -> Result<(), Fault> {
+        if self.stats.instructions >= self.cfg.insn_budget {
+            return Err(Fault::BudgetExhausted);
+        }
+        h.dispatch(self, idx + 1);
+        self.stats.instructions += 1;
+        self.stats.cycles += f2.cost2 as u64 + self.icache.access(addr + f2.a2off as u64);
+        Ok(())
     }
 
     #[inline]
@@ -1714,17 +1229,7 @@ impl Vm {
             NativeKind::Mprotect => {
                 let addr = self.regs.get(Gpr::Rdi);
                 let len = self.regs.get(Gpr::Rsi);
-                let bits = self.regs.get(Gpr::Rdx);
-                let mut perms = Perms::NONE;
-                if bits & 1 != 0 {
-                    perms = perms.union(Perms::R);
-                }
-                if bits & 2 != 0 {
-                    perms = perms.union(Perms::W);
-                }
-                if bits & 4 != 0 {
-                    perms = perms.union(Perms::X);
-                }
+                let perms = Perms::from_prot(self.regs.get(Gpr::Rdx));
                 let rc = if self.mem.protect(addr, len, perms).is_ok() {
                     0u64
                 } else {
@@ -1753,47 +1258,6 @@ impl Vm {
             }
         }
         Ok(())
-    }
-
-    /// Records heap telemetry / trace events for a just-executed native
-    /// call. Reads only; guest state is untouched.
-    fn trace_native(&mut self, native: u16) {
-        let Some(&kind) = self.prog.natives.get(native as usize) else {
-            return;
-        };
-        let live = self.heap.in_use();
-        let resident = self.mem.resident_pages() as u64;
-        let insns = self.stats.instructions;
-        let (rax, rdi, rsi, rdx) = (
-            self.regs.get(Gpr::Rax),
-            self.regs.get(Gpr::Rdi),
-            self.regs.get(Gpr::Rsi),
-            self.regs.get(Gpr::Rdx),
-        );
-        let Some(tr) = &mut self.tracer else { return };
-        // Capture mode records every native with its argument registers
-        // and answer (the replay stub serves these back); the heap/
-        // protect hooks below additionally feed the telemetry.
-        tr.on_extern(kind, [rdi, rsi, rdx], rax);
-        match kind {
-            NativeKind::Malloc => tr.on_alloc(rax, rdi, live, resident, insns),
-            NativeKind::Memalign => tr.on_alloc(rax, rsi, live, resident, insns),
-            NativeKind::Free => tr.on_free(rdi, live, resident, insns),
-            NativeKind::Mprotect => {
-                let mut perms = Perms::NONE;
-                if rdx & 1 != 0 {
-                    perms = perms.union(Perms::R);
-                }
-                if rdx & 2 != 0 {
-                    perms = perms.union(Perms::W);
-                }
-                if rdx & 4 != 0 {
-                    perms = perms.union(Perms::X);
-                }
-                tr.on_protect(rdi, rsi, perms);
-            }
-            _ => {}
-        }
     }
 
     // --- Attacker primitives (threat model of paper §3) ---------------
@@ -1914,6 +1378,37 @@ impl Vm {
         Ymm(15)
     }
 }
+
+/// What the execution loop reports to an observer. The untraced
+/// instantiation uses `()`, whose hooks are empty and compile away; a
+/// traced VM lends the loop its [`Tracer`]. Hooks only read the VM —
+/// they cannot change the execution they observe.
+pub(crate) trait Hooks {
+    /// Called before a dispatch is charged — and before the second half
+    /// of a fused pair — with the index of the first original
+    /// instruction it executes. The instructions it covered are exactly
+    /// those the instruction counter advances by until the next call.
+    #[inline(always)]
+    fn dispatch(&mut self, _vm: &Vm, _idx: u32) {}
+    /// Whether the `n`-instruction block run led by `idx` must go on one
+    /// decoded op at a time instead of under one dispatch.
+    #[inline(always)]
+    fn split_run(&self, _vm: &Vm, _idx: u32, _n: u16) -> bool {
+        false
+    }
+    /// A call at `idx` pushed its return address; `indirect` carries the
+    /// resolved target of a `callind`.
+    #[inline(always)]
+    fn call(&mut self, _vm: &Vm, _idx: u32, _indirect: Option<VAddr>) {}
+    /// A `ret` at `idx` popped its return address.
+    #[inline(always)]
+    fn ret(&mut self, _vm: &Vm, _idx: u32) {}
+    /// A native call completed without faulting.
+    #[inline(always)]
+    fn native(&mut self, _vm: &Vm, _native: u16) {}
+}
+
+impl Hooks for () {}
 
 #[inline]
 fn alu(op: AluOp, a: u64, b: u64) -> u64 {

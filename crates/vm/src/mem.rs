@@ -129,6 +129,12 @@ impl Perms {
         Perms(self.0 | other.0)
     }
 
+    /// Permissions from a guest `mprotect`'s `PROT_*` bits (read 1,
+    /// write 2, exec 4 — the same encoding; higher bits are ignored).
+    pub fn from_prot(bits: u64) -> Perms {
+        Perms((bits & 7) as u8)
+    }
+
     /// True if the page is readable.
     pub fn readable(self) -> bool {
         self.allows(Perms::R)

@@ -62,8 +62,8 @@ impl ExecStats {
 /// which *implementation* paths ran — a fused run legitimately takes
 /// block runs and rollbacks an unfused run never sees. Keeping them
 /// separate preserves the equality contracts while still letting the
-/// fuzzer observe rare engine edges (mid-run fault rollback, budget
-/// handoff to the reference engine) as coverage features.
+/// fuzzer observe rare engine edges (mid-run fault rollback, budget-
+/// edge fallback to per-op dispatch) as coverage features.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EdgeStats {
     /// Block runs entered by the decoded engine (`Op::Run` dispatches).
@@ -71,8 +71,11 @@ pub struct EdgeStats {
     /// Mid-run faults that took the positional rollback path (member
     /// charges un-booked, icache pending rolled back).
     pub run_rollbacks: u64,
-    /// Budget-edge handoffs from the decoded engine to the reference
-    /// per-instruction engine (`exec_slow`).
+    /// Budget-edge fallbacks: block runs whose members would cross the
+    /// instruction budget, so the engine dispatched them one decoded op
+    /// at a time instead of batch-charging them. (The name stays so the
+    /// fuzz coverage feature `slow-path-handoffs`, and with it the
+    /// coverage map, stays stable.)
     pub slow_path_handoffs: u64,
 }
 

@@ -7,20 +7,22 @@
 //! folded stacks — without perturbing the run:
 //!
 //! * **Zero-overhead-when-off contract.** A [`Vm`](crate::Vm) without a
-//!   tracer executes exactly the code it executed before tracing
-//!   existed: every hook is behind an `Option` that is `None` by
-//!   default. With a tracer attached, the tracer *observes* the cost
+//!   tracer runs the execution loop's no-op hook instantiation, whose
+//!   hooks compile away. With a tracer attached, the same loop runs
+//!   with the tracer as its hooks; the tracer *observes* the cost
 //!   model — it never feeds back into it. Cycle counts, instruction
 //!   counts, icache behaviour, heap layout and program output are
 //!   bit-identical between traced and untraced runs; the profiler smoke
 //!   in CI asserts this on every machine model.
-//! * **Attribution is exact, not sampled.** The interpreter calls
-//!   [`Tracer::step`] once per executed instruction with the cycle and
-//!   icache-miss counters *before* the instruction is charged; the delta
-//!   since the previous step is the full cost of the previous
-//!   instruction (base cost, icache miss, taken-branch extra, AVX
-//!   transition penalty — whatever the cost model added), attributed to
-//!   the function that executed it. Function identity comes from the
+//! * **Attribution is exact, not sampled.** The engine calls
+//!   [`Tracer::step`] once per dispatch (each half of a fused pair
+//!   counting as one) with the instruction, cycle and icache-miss
+//!   counters *before* the dispatch is charged; the delta since the
+//!   previous step is the full cost of the previous dispatch (base
+//!   costs, icache misses, taken-branch extra, AVX transition penalty —
+//!   whatever the cost model added), attributed to the function that
+//!   executed it. No dispatch straddles a function start: the engine
+//!   splits a block run that would. Function identity comes from the
 //!   image's symbol table; a shadow call stack maintained from the
 //!   interpreter's own call/ret stream keys the folded-stack map.
 //! * **Bounded memory.** The event ring keeps the newest
@@ -42,9 +44,11 @@ use std::collections::HashMap;
 use std::collections::VecDeque;
 
 use crate::census::PairCensus;
+use crate::exec::{Hooks, Vm};
 use crate::fault::Fault;
 use crate::image::{Image, NativeKind, SymbolKind};
 use crate::mem::Perms;
+use crate::regs::Gpr;
 use crate::stats::ExecStats;
 use crate::VAddr;
 
@@ -377,6 +381,10 @@ pub struct Tracer {
     text_end: VAddr,
     // --- attribution state -------------------------------------------
     cur: usize,
+    /// First instruction of the dispatch being attributed (the census
+    /// reads the instructions it covered from there).
+    cur_addr: VAddr,
+    last_insns: u64,
     last_cycles: u64,
     last_misses: u64,
     /// Deci-cycles attributed to the current folded stack but not yet
@@ -431,6 +439,8 @@ impl Tracer {
             names,
             text_end: image.layout.text_end,
             cur: UNKNOWN,
+            cur_addr: 0,
+            last_insns: 0,
             last_cycles: 0,
             last_misses: 0,
             pending_fold: 0,
@@ -539,23 +549,13 @@ impl Tracer {
         }
     }
 
-    /// Per-instruction hook: called with the address of the instruction
-    /// about to execute and the cycle/miss counters *before* it is
-    /// charged, so the delta since the last call is the full cost of the
-    /// previously executed instruction.
+    /// Per-dispatch hook: called with the address of the first
+    /// instruction the dispatch is about to execute and the counters
+    /// *before* it is charged, so the deltas since the last call are the
+    /// instructions and full cost of the previous dispatch.
     #[inline]
-    pub fn step(&mut self, addr: VAddr, cycles: u64, icache_misses: u64) {
-        if let Some(c) = &mut self.census {
-            c.note(addr);
-        }
-        let dc = cycles - self.last_cycles;
-        let dm = icache_misses - self.last_misses;
-        self.last_cycles = cycles;
-        self.last_misses = icache_misses;
-        let slot = self.slot(self.cur);
-        self.self_cycles[slot] += dc;
-        self.misses[slot] += dm;
-        self.pending_fold += dc;
+    pub fn step(&mut self, addr: VAddr, instructions: u64, cycles: u64, icache_misses: u64) {
+        self.settle(instructions, cycles, icache_misses);
         match self.pending_stack {
             PendingStack::Push => {
                 self.flush_fold();
@@ -573,8 +573,27 @@ impl Tracer {
             self.flush_fold();
             self.cur = f;
         }
-        let fslot = self.slot(f);
-        self.insns[fslot] += 1;
+        self.cur_addr = addr;
+    }
+
+    /// Attributes everything the counters advanced by since the last
+    /// call — one dispatch, or the tail of a run — to the current
+    /// function, and feeds its instructions to the census.
+    fn settle(&mut self, instructions: u64, cycles: u64, icache_misses: u64) {
+        let di = instructions - self.last_insns;
+        let dc = cycles - self.last_cycles;
+        let dm = icache_misses - self.last_misses;
+        self.last_insns = instructions;
+        self.last_cycles = cycles;
+        self.last_misses = icache_misses;
+        if let Some(c) = &mut self.census {
+            c.note(self.cur_addr, di);
+        }
+        let slot = self.slot(self.cur);
+        self.insns[slot] += di;
+        self.self_cycles[slot] += dc;
+        self.misses[slot] += dm;
+        self.pending_fold += dc;
     }
 
     /// Hook for an executed `call`/`callind` at `at` targeting `target`.
@@ -636,16 +655,9 @@ impl Tracer {
     }
 
     /// Attributes all outstanding cost (called when a run finishes, so
-    /// the final instruction's cost is not lost).
-    pub fn sync(&mut self, cycles: u64, icache_misses: u64) {
-        let dc = cycles - self.last_cycles;
-        let dm = icache_misses - self.last_misses;
-        self.last_cycles = cycles;
-        self.last_misses = icache_misses;
-        let slot = self.slot(self.cur);
-        self.self_cycles[slot] += dc;
-        self.misses[slot] += dm;
-        self.pending_fold += dc;
+    /// the final dispatch's cost is not lost).
+    pub fn sync(&mut self, instructions: u64, cycles: u64, icache_misses: u64) {
+        self.settle(instructions, cycles, icache_misses);
         self.flush_fold();
     }
 
@@ -770,6 +782,67 @@ impl Tracer {
             },
             events: self.events.iter().cloned().collect(),
             dropped_events: self.dropped_events,
+        }
+    }
+}
+
+/// The tracer as the execution loop's observation hooks: a traced VM
+/// lends it to [`Vm`]'s loop for the duration of a run.
+impl Hooks for Tracer {
+    fn dispatch(&mut self, vm: &Vm, idx: u32) {
+        self.step(
+            vm.prog.insn_addrs[idx as usize],
+            vm.stats.instructions,
+            vm.stats.cycles,
+            vm.icache.stats().1,
+        );
+    }
+
+    /// Per-function attribution is exact only if no dispatch straddles
+    /// a function start, so such a run goes op by op.
+    fn split_run(&self, vm: &Vm, idx: u32, n: u16) -> bool {
+        let addrs = &vm.prog.insn_addrs;
+        self.span_of(addrs[idx as usize]) != self.span_of(addrs[idx as usize + n as usize - 1])
+    }
+
+    fn call(&mut self, vm: &Vm, idx: u32, indirect: Option<VAddr>) {
+        let at = vm.prog.insn_addrs[idx as usize];
+        match indirect {
+            Some(target) => {
+                self.on_call(at, target);
+                self.on_indirect(at, target);
+            }
+            None => {
+                let target = vm.prog.insns[idx as usize]
+                    .branch_target()
+                    .expect("direct call has a target");
+                self.on_call(at, target);
+            }
+        }
+    }
+
+    fn ret(&mut self, vm: &Vm, idx: u32) {
+        self.on_ret(vm.prog.insn_addrs[idx as usize]);
+    }
+
+    /// Heap telemetry, protect events and (in capture mode) the
+    /// native's argument registers and answer.
+    fn native(&mut self, vm: &Vm, native: u16) {
+        let Some(&kind) = vm.prog.natives.get(native as usize) else {
+            return;
+        };
+        let live = vm.heap.in_use();
+        let resident = vm.mem.resident_pages() as u64;
+        let insns = vm.stats.instructions;
+        let r = |g| vm.regs.get(g);
+        let (rax, rdi, rsi, rdx) = (r(Gpr::Rax), r(Gpr::Rdi), r(Gpr::Rsi), r(Gpr::Rdx));
+        self.on_extern(kind, [rdi, rsi, rdx], rax);
+        match kind {
+            NativeKind::Malloc => self.on_alloc(rax, rdi, live, resident, insns),
+            NativeKind::Memalign => self.on_alloc(rax, rsi, live, resident, insns),
+            NativeKind::Free => self.on_free(rdi, live, resident, insns),
+            NativeKind::Mprotect => self.on_protect(rdi, rsi, Perms::from_prot(rdx)),
+            _ => {}
         }
     }
 }

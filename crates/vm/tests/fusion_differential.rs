@@ -1,10 +1,12 @@
 //! Differential suite for the decoded execution engine: every program
-//! runs twice from the same [`Image`] — once with superinstruction
-//! fusion and block runs (`no_fuse: false`), once on per-instruction
-//! decoding (`no_fuse: true`) — and everything observable must be
-//! bit-identical: exit status, [`ExecStats`] (instructions, cycles,
-//! icache hits/misses, rss), printed output, all sixteen GPRs, the
-//! data section's bytes, and heap/rss accounting.
+//! runs three times from the same [`Image`] — with superinstruction
+//! fusion and block runs (`no_fuse: false`), on per-instruction
+//! decoding (`no_fuse: true`), and fused again with a tracer attached
+//! (the engine's traced hook instantiation) — and everything observable
+//! must be bit-identical: exit status, [`ExecStats`] (instructions,
+//! cycles, icache hits/misses, rss), printed output, all sixteen GPRs,
+//! the data section's bytes, and heap/rss accounting. The traced run's
+//! per-function instruction counts must also sum to the total.
 //!
 //! The programs are built to pin the tricky corners of the fused
 //! engine, not just the happy path: every pattern in the fusion
@@ -18,8 +20,8 @@
 use r2c_vm::insn::AluOp;
 use r2c_vm::unwind::UnwindTable;
 use r2c_vm::{
-    Cond, ExitStatus, Fault, Gpr, Image, Insn, MachineKind, MemRef, NativeKind, SectionLayout,
-    Symbol, SymbolKind, Vm, VmConfig, PAGE_SIZE,
+    Cond, ExitStatus, Fault, Gpr, Image, Insn, MachineKind, MemRef, NativeKind, RunOutcome,
+    SectionLayout, Symbol, SymbolKind, TraceConfig, Vm, VmConfig, PAGE_SIZE,
 };
 
 const TEXT_BASE: u64 = 0x40_0000;
@@ -69,14 +71,15 @@ fn addr_of(insns: &[Insn], i: usize) -> u64 {
     TEXT_BASE + insns[..i].iter().map(|x| x.len()).sum::<u64>()
 }
 
-/// Runs `insns` on a fused and an unfused VM and asserts every
-/// observable agrees. Returns the shared outcome for extra assertions.
+/// Runs `insns` on a fused, an unfused and a traced fused VM and
+/// asserts every observable agrees. Returns the shared outcome for
+/// extra assertions.
 fn run_both(insns: Vec<Insn>, natives: Vec<NativeKind>) -> (ExitStatus, r2c_vm::ExecStats) {
     run_both_with(insns, natives, |_| {})
 }
 
 /// [`run_both`] with a configuration hook (budget, etc.) applied to
-/// both VMs before running.
+/// every VM before running.
 fn run_both_with(
     insns: Vec<Insn>,
     natives: Vec<NativeKind>,
@@ -84,13 +87,11 @@ fn run_both_with(
 ) -> (ExitStatus, r2c_vm::ExecStats) {
     let image = asm(insns, natives);
     let cfg = VmConfig::new(MachineKind::EpycRome.config());
-    let mut fused = Vm::new(
-        &image,
-        VmConfig {
-            no_fuse: false,
-            ..cfg
-        },
-    );
+    let fused_cfg = VmConfig {
+        no_fuse: false,
+        ..cfg
+    };
+    let mut fused = Vm::new(&image, fused_cfg);
     let mut unfused = Vm::new(
         &image,
         VmConfig {
@@ -98,6 +99,20 @@ fn run_both_with(
             ..cfg
         },
     );
+    // The tracer sees a function start at every fifth instruction, so
+    // block runs straddle function starts and the traced engine's
+    // split path (op-by-op dispatch of such a run) runs too.
+    let mut symbols = image.clone();
+    for (i, &addr) in image.insn_addrs.iter().enumerate().skip(4).step_by(5) {
+        symbols.symbols.push(Symbol {
+            name: format!("f{i}"),
+            addr,
+            size: 0,
+            kind: SymbolKind::Function,
+        });
+    }
+    let mut traced = Vm::new(&image, fused_cfg);
+    traced.enable_trace(&symbols, TraceConfig::default());
     assert!(fused.fusion_enabled());
     assert!(!unfused.fusion_enabled());
     assert_ne!(
@@ -107,30 +122,52 @@ fn run_both_with(
     );
     prep(&mut fused);
     prep(&mut unfused);
+    prep(&mut traced);
     let a = fused.run();
     let b = unfused.run();
-    assert_eq!(a.status, b.status, "exit status diverged");
-    assert_eq!(a.stats, b.stats, "ExecStats diverged");
-    assert_eq!(fused.output, unfused.output, "printed output diverged");
+    let c = traced.run();
+    assert_same(&fused, &a, &unfused, &b, "unfused");
+    assert_same(&fused, &a, &traced, &c, "traced");
+    let p = traced.trace_profile().unwrap();
+    assert_eq!(
+        p.funcs.iter().map(|f| f.instructions).sum::<u64>(),
+        c.stats.instructions,
+        "traced per-function instructions must sum to the total"
+    );
+    (a.status, a.stats)
+}
+
+/// Asserts the `other` VM (unfused or traced) observed exactly what the
+/// fused one did.
+fn assert_same(fused: &Vm, a: &RunOutcome, other: &Vm, b: &RunOutcome, what: &str) {
+    assert_eq!(a.status, b.status, "{what}: exit status diverged");
+    assert_eq!(a.stats, b.stats, "{what}: ExecStats diverged");
+    assert_eq!(
+        fused.output, other.output,
+        "{what}: printed output diverged"
+    );
     for g in Gpr::ALL {
         assert_eq!(
             fused.regs.get(g),
-            unfused.regs.get(g),
-            "register {g:?} diverged"
+            other.regs.get(g),
+            "{what}: register {g:?} diverged"
         );
     }
     let mut da = vec![0u8; (DATA_END - DATA_BASE) as usize];
     let mut db = da.clone();
     fused.mem.peek(DATA_BASE, &mut da);
-    unfused.mem.peek(DATA_BASE, &mut db);
-    assert_eq!(da, db, "data section diverged");
+    other.mem.peek(DATA_BASE, &mut db);
+    assert_eq!(da, db, "{what}: data section diverged");
     assert_eq!(
         fused.mem.resident_pages(),
-        unfused.mem.resident_pages(),
-        "resident page count diverged"
+        other.mem.resident_pages(),
+        "{what}: resident page count diverged"
     );
-    assert_eq!(fused.heap.in_use(), unfused.heap.in_use());
-    (a.status, a.stats)
+    assert_eq!(
+        fused.heap.in_use(),
+        other.heap.in_use(),
+        "{what}: heap diverged"
+    );
 }
 
 /// One long function exercising every pattern in the fusion catalogue:
@@ -530,7 +567,7 @@ fn mid_pair_second_half_fault_agrees() {
 }
 
 /// Budget exhaustion landing in the middle of a block run: the fused
-/// engine must hand the tail to the reference engine and stop at
+/// engine must go on dispatching the tail one op at a time and stop at
 /// exactly the same instruction count.
 #[test]
 fn budget_exhaustion_mid_run_agrees() {
