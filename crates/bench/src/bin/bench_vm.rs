@@ -19,19 +19,14 @@
 //! icache accounting), the software TLB, and the dense dispatch table
 //! optimize.
 //!
-//! Flags:
-//! * `--baseline <prior BENCH_vm.json>` — report the aggregate speedup
-//!   against a previously recorded run.
-//! * `--smoke` — CI perf gate: fewer reps, and exit non-zero unless
-//!   aggregate MIPS ≥ [`SMOKE_FLOOR_MIPS`] (set well below the
-//!   recorded number to absorb noisy shared runners).
-//!
-//! Per-cell `prev_mips` / `speedup_vs_prev` fields in the JSON compare
-//! against the `BENCH_vm.json` being overwritten, so the checked-in
-//! file always documents its own delta.
+//! `--smoke` is the CI perf gate: fewer reps, and exit non-zero unless
+//! aggregate MIPS ≥ [`SMOKE_FLOOR_MIPS`] (set well below the recorded
+//! number to absorb noisy shared runners). Comparisons between runs
+//! belong to `perfbench`, which repeats and measures on one host.
 
 use std::time::Instant;
 
+use r2c_bench::{cli, json::Json, obj};
 use r2c_core::{R2cCompiler, R2cConfig};
 use r2c_ir::Module;
 use r2c_vm::{ExitStatus, MachineKind, Vm, VmConfig};
@@ -55,7 +50,6 @@ struct Cell {
     name: String,
     insns: u64,
     wall_s: f64,
-    prev_mips: Option<f64>,
 }
 
 impl Cell {
@@ -83,44 +77,12 @@ fn run_cell(name: &str, module: &Module, cfg: R2cConfig, machine: MachineKind, r
         name: name.to_string(),
         insns,
         wall_s: start.elapsed().as_secs_f64(),
-        prev_mips: None,
     }
 }
 
-/// Extracts `"key": <number>` from our own minimal JSON output (no
-/// JSON crate in the offline build, and we only ever read files this
-/// binary wrote).
-fn extract_number(json: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\":");
-    let at = json.find(&pat)? + pat.len();
-    let rest = json[at..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == '+'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// Extracts the recorded `mips` of the named cell from a prior
-/// `BENCH_vm.json`.
-fn extract_cell_mips(json: &str, name: &str) -> Option<f64> {
-    let at = json.find(&format!("\"name\": \"{name}\""))?;
-    extract_number(&json[at..], "mips")
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let baseline_path = args
-        .iter()
-        .position(|a| a == "--baseline")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
+    let smoke = cli::parse("usage: bench_vm [--smoke]").flag("--smoke");
     let reps = if smoke { SMOKE_REPS } else { REPS };
-
-    // The file this run will overwrite provides the per-cell
-    // `prev_mips` comparison (skipped in smoke mode, which uses too
-    // few reps to be a fair "prev").
-    let prior = std::fs::read_to_string("BENCH_vm.json").ok();
 
     let machine = MachineKind::EpycRome;
     let mut workloads = spec_workloads(Scale::Test);
@@ -144,11 +106,6 @@ fn main() {
             reps,
         ));
     }
-    if let Some(prior) = &prior {
-        for c in &mut cells {
-            c.prev_mips = extract_cell_mips(prior, &c.name);
-        }
-    }
 
     let total_insns: u64 = cells.iter().map(|c| c.insns).sum();
     let total_wall: f64 = cells.iter().map(|c| c.wall_s).sum();
@@ -160,12 +117,8 @@ fn main() {
         machine.name()
     );
     for c in &cells {
-        let vs_prev = match c.prev_mips {
-            Some(p) if p > 0.0 => format!("  ({:>5.2}x vs prev)", c.mips() / p),
-            _ => String::new(),
-        };
         println!(
-            "  {:<16} {:>12} insns  {:>8.1} ms  {:>7.2} MIPS{vs_prev}",
+            "  {:<16} {:>12} insns  {:>8.1} ms  {:>7.2} MIPS",
             c.name,
             c.insns,
             c.wall_s * 1e3,
@@ -177,60 +130,26 @@ fn main() {
         total_wall * 1e3
     );
 
-    let speedup = baseline_path.as_ref().and_then(|p| {
-        let parsed = std::fs::read_to_string(p)
-            .ok()
-            .and_then(|prior| extract_number(&prior, "guest_mips_total"));
-        if parsed.is_none() {
-            eprintln!("warning: --baseline {p}: unreadable or missing guest_mips_total; ignoring");
+    let cells = cells.iter().map(|c| {
+        obj! {
+            "name": c.name.as_str(), "guest_insns": c.insns,
+            "wall_ms": Json::Fixed(c.wall_s * 1e3, 3), "mips": Json::Fixed(c.mips(), 3),
         }
-        let prior_mips = parsed?;
-        Some((prior_mips, total_mips / prior_mips))
     });
-    if let Some((prior_mips, s)) = speedup {
-        println!("  speedup vs baseline run ({prior_mips:.2} MIPS): {s:.2}x");
-    }
-
-    let mut json = String::from("{\n");
-    json.push_str(&format!("  \"machine\": \"{}\",\n", machine.name()));
-    json.push_str(&format!("  \"reps_per_cell\": {reps},\n"));
-    json.push_str("  \"cells\": [\n");
-    for (i, c) in cells.iter().enumerate() {
-        let mut line = format!(
-            "    {{\"name\": \"{}\", \"guest_insns\": {}, \"wall_ms\": {:.3}, \"mips\": {:.3}",
-            c.name,
-            c.insns,
-            c.wall_s * 1e3,
-            c.mips()
-        );
-        if let Some(p) = c.prev_mips.filter(|p| *p > 0.0) {
-            line.push_str(&format!(
-                ", \"prev_mips\": {:.3}, \"speedup_vs_prev\": {:.3}",
-                p,
-                c.mips() / p
-            ));
-        }
-        line.push_str(&format!(
-            "}}{}\n",
-            if i + 1 == cells.len() { "" } else { "," }
-        ));
-        json.push_str(&line);
-    }
-    json.push_str("  ],\n");
-    json.push_str(&format!("  \"guest_insns_total\": {total_insns},\n"));
-    json.push_str(&format!("  \"wall_ms_total\": {:.3},\n", total_wall * 1e3));
-    if let Some((prior_mips, s)) = speedup {
-        json.push_str(&format!("  \"baseline_mips_total\": {prior_mips:.3},\n"));
-        json.push_str(&format!("  \"speedup_vs_baseline\": {s:.3},\n"));
-    }
-    json.push_str(&format!("  \"guest_mips_total\": {total_mips:.3}\n"));
-    json.push_str("}\n");
+    let json = obj! {
+        "machine": machine.name(),
+        "reps_per_cell": reps,
+        "cells": Json::arr(cells),
+        "guest_insns_total": total_insns,
+        "wall_ms_total": Json::Fixed(total_wall * 1e3, 3),
+        "guest_mips_total": Json::Fixed(total_mips, 3),
+    };
     let out = if smoke {
         "BENCH_vm_smoke.json"
     } else {
         "BENCH_vm.json"
     };
-    std::fs::write(out, &json).expect("write bench json");
+    std::fs::write(out, json.render()).expect("write bench json");
     println!("wrote {out}");
 
     if smoke && total_mips < SMOKE_FLOOR_MIPS {

@@ -10,6 +10,7 @@ use r2c_vm::MachineKind;
 use r2c_workloads::{spec_workloads, Scale};
 
 fn main() {
+    r2c_bench::cli::parse("usage: calibrate");
     let machine = MachineKind::EpycRome;
     let runs = 2;
     let workloads = spec_workloads(Scale::Bench);

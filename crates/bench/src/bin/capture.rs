@@ -24,7 +24,7 @@
 
 use std::path::{Path, PathBuf};
 
-use r2c_bench::TablePrinter;
+use r2c_bench::{json::Json, obj, TablePrinter};
 use r2c_core::{R2cCompiler, R2cConfig};
 use r2c_ir::Module;
 use r2c_replay::{
@@ -138,7 +138,7 @@ fn replay_three_way(module: &Module, machine: MachineKind) -> Result<ExecStats, 
 
 fn verify(smoke: bool) {
     let mut failures: Vec<String> = Vec::new();
-    let mut report = String::from("{\n  \"workloads\": [\n");
+    let mut rows = Vec::new();
 
     // 1. Re-reduce the cap-interp golden from source; the pipeline is
     // deterministic, so the artifact bytes must match exactly.
@@ -179,7 +179,7 @@ fn verify(smoke: bool) {
     } else {
         &MachineKind::ALL
     };
-    for (i, w) in captured_workloads().iter().enumerate() {
+    for w in captured_workloads() {
         let golden = std::fs::read(trace_path(w.name)).unwrap_or_default();
         match CapturedTrace::decode(&golden) {
             Ok(trace) => {
@@ -209,22 +209,14 @@ fn verify(smoke: bool) {
                 mk,
                 per_machine.len()
             );
-            report.push_str(&format!(
-                "    {{\"name\": \"{}\", \"machines\": {}, \"instructions\": {}, \"calls\": {}}}{}\n",
-                w.name,
-                per_machine.len(),
-                stats.instructions,
-                stats.calls,
-                if i + 1 < 5 { "," } else { "" }
-            ));
+            rows.push(obj! {
+                "name": w.name, "machines": per_machine.len(),
+                "instructions": stats.instructions, "calls": stats.calls,
+            });
         }
     }
-    report.push_str(&format!(
-        "  ],\n  \"smoke\": {},\n  \"failures\": {}\n}}\n",
-        smoke,
-        failures.len()
-    ));
-    std::fs::write("BENCH_replay.json", report).expect("write BENCH_replay.json");
+    let report = obj! { "workloads": Json::Arr(rows), "smoke": smoke, "failures": failures.len() };
+    std::fs::write("BENCH_replay.json", report.render()).expect("write BENCH_replay.json");
 
     if !failures.is_empty() {
         eprintln!("capture --verify FAILED:");
@@ -270,15 +262,10 @@ fn census() {
     ]);
     t.sep();
     let mut total: Option<PairCensus> = None;
-    for w in spec_workloads(Scale::Test) {
-        let (pairs, cov) = census_run(&w.module, &mut total);
-        t.row(&[
-            w.name.into(),
-            pairs.to_string(),
-            format!("{:.1}%", cov * 100.0),
-        ]);
-    }
-    for w in captured_workloads() {
+    for w in spec_workloads(Scale::Test)
+        .into_iter()
+        .chain(captured_workloads())
+    {
         let (pairs, cov) = census_run(&w.module, &mut total);
         t.row(&[
             w.name.into(),
@@ -305,15 +292,11 @@ fn census() {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let has = |f: &str| args.iter().any(|a| a == f);
+    let args = r2c_bench::cli::parse("usage: capture --bless | --verify [--smoke] | --census");
     match () {
-        _ if has("--bless") => bless(),
-        _ if has("--verify") => verify(has("--smoke")),
-        _ if has("--census") => census(),
-        _ => {
-            eprintln!("usage: capture --bless | --verify [--smoke] | --census");
-            std::process::exit(2);
-        }
+        _ if args.flag("--bless") => bless(),
+        _ if args.flag("--verify") => verify(args.flag("--smoke")),
+        _ if args.flag("--census") => census(),
+        _ => args.fail("expected --bless, --verify or --census"),
     }
 }

@@ -79,8 +79,9 @@ fn check_cell(module: &Module, cfg: R2cConfig, decode: bool) -> Vec<String> {
 }
 
 fn main() -> ExitCode {
-    let decode = std::env::args().any(|a| a == "--decode");
-    let seeds: &[u64] = if std::env::args().any(|a| a == "--large") {
+    let args = r2c_bench::cli::parse("usage: check [--decode] [--large]");
+    let decode = args.flag("--decode");
+    let seeds: &[u64] = if args.flag("--large") {
         &[0, 1, 2, 3, 4, 5, 6, 7]
     } else {
         &[0, 1, 2]

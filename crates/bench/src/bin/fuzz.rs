@@ -51,9 +51,8 @@
 
 use std::path::PathBuf;
 use std::process::ExitCode;
-use std::str::FromStr;
 
-use r2c_bench::{parallel_map, TablePrinter};
+use r2c_bench::{cli, json::Json, parallel_map, TablePrinter};
 use r2c_fuzz::{
     divergence_report, named_configs, reduce_divergence, run_case, run_oracle,
     summarize_divergences, CaseVerdict, Corpus, Divergence, OracleMatrix,
@@ -65,6 +64,7 @@ struct Args {
     cases: u64,
     seed: u64,
     preset: String,
+    matrix: OracleMatrix,
     div_dir: PathBuf,
     campaign: bool,
     corpus: PathBuf,
@@ -78,64 +78,34 @@ struct Args {
     write_baseline: bool,
 }
 
-const USAGE: &str = "fuzz [--cases N] [--seed S] [--preset quick|full|<config-name>] \
-     [--div-dir DIR] [--campaign [--corpus DIR] [--blind] [--mutate-ratio R] [--minimize] \
-     [--refresh] [--time-budget SECS] [--coverage-json PATH] [--baseline PATH] \
-     [--write-baseline]]";
-
-fn bad_args(problem: &str) -> ! {
-    r2c_bench::usage_exit(problem, USAGE)
-}
-
 fn parse_args() -> Args {
-    let mut args = Args {
-        cases: 200,
-        seed: 1,
-        preset: "quick".to_string(),
-        div_dir: PathBuf::from("fuzz-corpus"),
-        campaign: false,
-        corpus: PathBuf::from("crates/fuzz/corpus"),
-        blind: false,
-        mutate_ratio: 0.5,
-        minimize: false,
-        refresh: false,
-        time_budget: None,
-        coverage_json: None,
-        baseline: None,
-        write_baseline: false,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        let mut val = |name: &str| {
-            it.next()
-                .unwrap_or_else(|| bad_args(&format!("{name} requires a value")))
-        };
-        fn num<T: FromStr>(name: &str, v: String) -> T {
-            v.parse()
-                .unwrap_or_else(|_| bad_args(&format!("{name}: cannot parse {v:?}")))
-        }
-        match a.as_str() {
-            "--cases" => args.cases = num("--cases", val("--cases")),
-            "--seed" => args.seed = num("--seed", val("--seed")),
-            "--preset" => args.preset = val("--preset"),
-            "--div-dir" => args.div_dir = PathBuf::from(val("--div-dir")),
-            "--campaign" => args.campaign = true,
-            "--corpus" => args.corpus = PathBuf::from(val("--corpus")),
-            "--blind" => args.blind = true,
-            "--mutate-ratio" => args.mutate_ratio = num("--mutate-ratio", val("--mutate-ratio")),
-            "--minimize" => args.minimize = true,
-            "--refresh" => args.refresh = true,
-            "--time-budget" => args.time_budget = Some(num("--time-budget", val("--time-budget"))),
-            "--coverage-json" => args.coverage_json = Some(PathBuf::from(val("--coverage-json"))),
-            "--baseline" => args.baseline = Some(PathBuf::from(val("--baseline"))),
-            "--write-baseline" => args.write_baseline = true,
-            other => bad_args(&format!("unknown argument {other:?}")),
-        }
+    let cli = cli::parse(
+        "usage: fuzz [--cases N] [--seed S] [--preset quick|full|<config-name>] \
+         [--div-dir DIR] [--campaign [--corpus DIR] [--blind] [--mutate-ratio R] [--minimize] \
+         [--refresh] [--time-budget SECS] [--coverage-json PATH] [--baseline PATH] \
+         [--write-baseline]]",
+    );
+    let preset = cli.value("--preset").unwrap_or("quick").to_string();
+    Args {
+        cases: cli.get_or("--cases", 200),
+        seed: cli.get_or("--seed", 1),
+        matrix: matrix_for(&cli, &preset),
+        preset,
+        div_dir: cli.get_or("--div-dir", PathBuf::from("fuzz-corpus")),
+        campaign: cli.flag("--campaign"),
+        corpus: cli.get_or("--corpus", PathBuf::from("crates/fuzz/corpus")),
+        blind: cli.flag("--blind"),
+        mutate_ratio: cli.get_or("--mutate-ratio", 0.5),
+        minimize: cli.flag("--minimize"),
+        refresh: cli.flag("--refresh"),
+        time_budget: cli.get("--time-budget"),
+        coverage_json: cli.get("--coverage-json"),
+        baseline: cli.get("--baseline"),
+        write_baseline: cli.flag("--write-baseline"),
     }
-    args
 }
 
-fn matrix_for(preset: &str) -> OracleMatrix {
+fn matrix_for(cli: &cli::Args, preset: &str) -> OracleMatrix {
     match preset {
         "quick" => OracleMatrix::quick(),
         "full" => OracleMatrix::full(),
@@ -151,7 +121,7 @@ fn matrix_for(preset: &str) -> OracleMatrix {
                 .find(|(n, _)| n == name)
                 .unwrap_or_else(|| {
                     let known: Vec<String> = named_configs().into_iter().map(|(n, _)| n).collect();
-                    bad_args(&format!(
+                    cli.fail(&format!(
                         "unknown preset {name:?}; known: quick, full, fleet-respawn, {known:?}"
                     ))
                 })
@@ -251,7 +221,7 @@ fn persist_divergence(
     path
 }
 
-fn run_campaign_mode(args: &Args, matrix: OracleMatrix) -> ExitCode {
+fn run_campaign_mode(args: &Args) -> ExitCode {
     let mut corpus = Corpus::load(&args.corpus);
     println!(
         "campaign: {} case(s) from seed {}, preset {:?}, corpus {:?} ({} seed entr{})",
@@ -270,7 +240,7 @@ fn run_campaign_mode(args: &Args, matrix: OracleMatrix) -> ExitCode {
         cases: args.cases,
         base_seed: args.seed,
         guided: !args.blind,
-        matrix,
+        matrix: args.matrix.clone(),
         coverage_build_seed: 1,
         mutate_ratio: args.mutate_ratio,
         fresh_gen: None,
@@ -307,7 +277,7 @@ fn run_campaign_mode(args: &Args, matrix: OracleMatrix) -> ExitCode {
     }
 
     if let Some(p) = &args.coverage_json {
-        std::fs::write(p, report.to_json()).expect("write coverage JSON");
+        std::fs::write(p, Json::from(&report).render()).expect("write coverage JSON");
         println!("coverage report: {}", p.display());
     }
 
@@ -367,20 +337,20 @@ fn run_campaign_mode(args: &Args, matrix: OracleMatrix) -> ExitCode {
 
 fn main() -> ExitCode {
     let args = parse_args();
-    let matrix = matrix_for(&args.preset);
     if args.campaign {
-        return run_campaign_mode(&args, matrix);
+        return run_campaign_mode(&args);
     }
+    let matrix = &args.matrix;
     let cells_per_case = matrix.cells().len();
     println!(
         "r2c-fuzz: {} case(s) from seed {}, preset {:?} ({} variant cell(s) per case)",
         args.cases, args.seed, args.preset, cells_per_case
     );
 
-    let replay_failures = replay_divergences(&args.div_dir, &matrix);
+    let replay_failures = replay_divergences(&args.div_dir, matrix);
 
     let case_seeds: Vec<u64> = (0..args.cases).map(|i| args.seed + i).collect();
-    let reports = parallel_map(&case_seeds, |&s| run_case(s, &matrix));
+    let reports = parallel_map(&case_seeds, |&s| run_case(s, matrix));
 
     let mut passed = 0u64;
     let mut skipped = 0u64;

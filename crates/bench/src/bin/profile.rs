@@ -24,17 +24,15 @@
 //! at their recorded size, whatever `--scale`). Defaults: `nginx`,
 //! `full`, all machines, `--scale bench`, 500 requests, seed 1.
 
+use r2c_bench::cli::{self, Args};
+use r2c_bench::{json::Json, obj};
 use r2c_core::{R2cCompiler, R2cConfig};
 use r2c_ir::Module;
 use r2c_vm::{ExecStats, ExitStatus, MachineKind, TraceConfig, Vm, VmConfig};
 use r2c_workloads::{captured_workloads, spec_workloads, Scale, ServerKind};
 
-fn arg_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
+const USAGE: &str = "usage: profile [--workload <name>] [--preset baseline|full|push] \
+     [--machine <name>|all] [--scale test|bench|large] [--requests N] [--seed N]";
 
 fn machine_slug(m: MachineKind) -> String {
     m.name()
@@ -44,7 +42,7 @@ fn machine_slug(m: MachineKind) -> String {
         .collect()
 }
 
-fn find_workload(name: &str, scale: Scale, requests: u64) -> Module {
+fn find_workload(args: &Args, name: &str, scale: Scale, requests: u64) -> Module {
     match name {
         "nginx" => r2c_workloads::webserver_module(ServerKind::Nginx, requests),
         "apache" => r2c_workloads::webserver_module(ServerKind::Apache, requests),
@@ -53,13 +51,10 @@ fn find_workload(name: &str, scale: Scale, requests: u64) -> Module {
             workloads.extend(captured_workloads());
             match workloads.iter().position(|w| w.name == name) {
                 Some(i) => workloads.swap_remove(i).module,
-                None => {
-                    eprintln!(
-                        "unknown workload {name:?}; expected nginx, apache, or one of {:?}",
-                        workloads.iter().map(|w| w.name).collect::<Vec<_>>()
-                    );
-                    std::process::exit(2);
-                }
+                None => args.fail(&format!(
+                    "unknown workload {name:?}; expected nginx, apache, or one of {:?}",
+                    workloads.iter().map(|w| w.name).collect::<Vec<_>>()
+                )),
             }
         }
     }
@@ -99,48 +94,40 @@ fn explain_divergence(untraced: &ExecStats, traced: &ExecStats) {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let workload = arg_value(&args, "--workload").unwrap_or_else(|| "nginx".into());
-    let preset = arg_value(&args, "--preset").unwrap_or_else(|| "full".into());
-    let seed: u64 = arg_value(&args, "--seed").map_or(1, |s| s.parse().expect("--seed"));
-    let requests: u64 =
-        arg_value(&args, "--requests").map_or(500, |s| s.parse().expect("--requests"));
-    let scale = match arg_value(&args, "--scale").as_deref() {
+    let args = cli::parse(USAGE);
+    let workload = args.value("--workload").unwrap_or("nginx");
+    let preset = args.value("--preset").unwrap_or("full");
+    let seed: u64 = args.get_or("--seed", 1);
+    let requests: u64 = args.get_or("--requests", 500);
+    let scale = match args.value("--scale") {
         Some("test") => Scale::Test,
         Some("large") => Scale::Large,
         None | Some("bench") => Scale::Bench,
-        Some(other) => {
-            eprintln!("unknown scale {other:?}");
-            std::process::exit(2);
-        }
+        Some(other) => args.fail(&format!("unknown scale {other:?}")),
     };
-    let cfg = match preset.as_str() {
+    let cfg = match preset {
         "baseline" => R2cConfig::baseline(seed),
         "full" => R2cConfig::full(seed),
         "push" => R2cConfig::full_push(seed),
-        other => {
-            eprintln!("unknown preset {other:?}; expected baseline, full or push");
-            std::process::exit(2);
-        }
+        other => args.fail(&format!(
+            "unknown preset {other:?}; expected baseline, full or push"
+        )),
     };
-    let machines: Vec<MachineKind> = match arg_value(&args, "--machine").as_deref() {
+    let machines: Vec<MachineKind> = match args.value("--machine") {
         None | Some("all") => MachineKind::ALL.to_vec(),
         Some(name) => {
-            let want: String = name.to_lowercase();
-            let found = MachineKind::ALL
+            let want = name.to_lowercase().replace('-', "_");
+            match MachineKind::ALL
                 .into_iter()
-                .find(|m| machine_slug(*m).contains(&want.replace('-', "_")));
-            match found {
+                .find(|m| machine_slug(*m).contains(&want))
+            {
                 Some(m) => vec![m],
-                None => {
-                    eprintln!("unknown machine {name:?}");
-                    std::process::exit(2);
-                }
+                None => args.fail(&format!("unknown machine {name:?}")),
             }
         }
     };
 
-    let module = find_workload(&workload, scale, requests);
+    let module = find_workload(&args, workload, scale, requests);
     let (image, _info, report) = R2cCompiler::new(cfg)
         .build_with_report(&module)
         .expect("workload must compile");
@@ -152,7 +139,7 @@ fn main() {
         report.image_text_bytes
     );
 
-    let mut entries: Vec<String> = Vec::new();
+    let mut entries = Vec::new();
     for machine in &machines {
         let vm_cfg = VmConfig::new(machine.config());
 
@@ -231,25 +218,17 @@ fn main() {
         std::fs::write(&folded_path, profile.folded_stacks()).expect("write folded stacks");
         println!("  wrote {folded_path}");
 
-        entries.push(format!(
-            "    {{\"machine\": \"{}\",\n     \"exec\": {}}}",
-            machine.name(),
-            profile.to_json().trim_end().replace('\n', "\n     ")
-        ));
+        entries.push(obj! { "machine": machine.name(), "exec": &profile });
     }
 
-    let mut json = String::from("{\n");
-    json.push_str(&format!("  \"workload\": \"{workload}\",\n"));
-    json.push_str(&format!("  \"preset\": \"{preset}\",\n"));
-    json.push_str(&format!("  \"seed\": {seed},\n"));
-    json.push_str(&format!(
-        "  \"compile\": {},\n",
-        report.to_json().trim_end().replace('\n', "\n  ")
-    ));
-    json.push_str("  \"machines\": [\n");
-    json.push_str(&entries.join(",\n"));
-    json.push_str("\n  ]\n}\n");
+    let json = obj! {
+        "workload": workload,
+        "preset": preset,
+        "seed": seed,
+        "compile": &report,
+        "machines": Json::Arr(entries),
+    };
     let out = format!("PROFILE_{workload}.json");
-    std::fs::write(&out, &json).expect("write profile json");
+    std::fs::write(&out, json.render()).expect("write profile json");
     println!("\nwrote {out}");
 }

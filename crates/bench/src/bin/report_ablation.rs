@@ -21,6 +21,7 @@ use r2c_vm::MachineKind;
 use r2c_workloads::{spec_workloads, Scale};
 
 fn main() {
+    r2c_bench::cli::parse("usage: report_ablation");
     let machine = MachineKind::EpycRome;
     let workloads = spec_workloads(Scale::Bench);
     let omnetpp = workloads.iter().find(|w| w.name == "omnetpp").unwrap();

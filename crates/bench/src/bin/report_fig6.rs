@@ -12,24 +12,18 @@ use r2c_vm::MachineKind;
 use r2c_workloads::{captured_workloads, spec_workloads, Scale};
 
 fn main() {
-    let scale = if std::env::args().any(|a| a == "--large") {
-        Scale::Large
-    } else {
-        Scale::Bench
-    };
+    let large = r2c_bench::cli::parse("usage: report_fig6 [--large]").flag("--large");
+    let scale = if large { Scale::Large } else { Scale::Bench };
     let runs = 3;
+    // The paper's aggregate covers its 12 SPEC profiles; the
+    // replay-captured workloads (`cap-*`, minted by `capture --bless`
+    // from recorded traces) follow in a section with their own geomean.
     let mut workloads = spec_workloads(scale);
-    // The replay-captured workloads (`cap-*`) ride along: standalone
-    // programs minted by `capture --bless` from recorded traces.
+    let n_spec = workloads.len();
     workloads.extend(captured_workloads());
-    println!(
-        "Figure 6: full R2C performance impact per benchmark (median of {runs} seeds per cell)\n"
-    );
     let t = TablePrinter::new(&[11, 9, 9, 9, 9]);
     let mut header = vec!["benchmark".to_string()];
     header.extend(MachineKind::ALL.iter().map(|m| m.name().to_string()));
-    t.row(&header);
-    t.sep();
 
     // One measurement cell per (workload, machine); cells are
     // independent, so fan them out and print in input order.
@@ -43,22 +37,39 @@ fn main() {
         prot / base
     });
 
-    let mut per_machine: Vec<Vec<f64>> = vec![Vec::new(); MachineKind::ALL.len()];
-    for (wi, w) in workloads.iter().enumerate() {
-        let mut row = vec![w.name.to_string()];
-        for mi in 0..MachineKind::ALL.len() {
-            let ratio = ratios[wi * MachineKind::ALL.len() + mi];
-            per_machine[mi].push(ratio);
-            row.push(pct(ratio));
+    let sections = [
+        (
+            format!(
+                "Figure 6: full R2C performance impact per benchmark (median of {runs} seeds per cell)"
+            ),
+            0..n_spec,
+            "\npaper: geometric mean 6.6%-8.5% across machines (Xeon highest);\n\
+             omnetpp up to 21% on Xeon; lbm/xz/x264/imagick near baseline.\n",
+        ),
+        (
+            "Captured workloads (cap-*, not in the paper's set):".to_string(),
+            n_spec..workloads.len(),
+            "",
+        ),
+    ];
+    for (heading, rows, footer) in sections {
+        println!("{heading}\n");
+        t.row(&header);
+        t.sep();
+        let mut per_machine: Vec<Vec<f64>> = vec![Vec::new(); MachineKind::ALL.len()];
+        for wi in rows {
+            let mut row = vec![workloads[wi].name.to_string()];
+            for (mi, column) in per_machine.iter_mut().enumerate() {
+                let ratio = ratios[wi * MachineKind::ALL.len() + mi];
+                column.push(ratio);
+                row.push(pct(ratio));
+            }
+            t.row(&row);
         }
-        t.row(&row);
+        t.sep();
+        let mut geo_row = vec!["geomean".to_string()];
+        geo_row.extend(per_machine.iter().map(|column| pct(geomean(column))));
+        t.row(&geo_row);
+        println!("{footer}");
     }
-    t.sep();
-    let mut geo_row = vec!["geomean".to_string()];
-    for ratios in &per_machine {
-        geo_row.push(pct(geomean(ratios)));
-    }
-    t.row(&geo_row);
-    println!("\npaper: geometric mean 6.6%-8.5% across machines (Xeon highest);");
-    println!("omnetpp up to 21% on Xeon; lbm/xz/x264/imagick near baseline.");
 }

@@ -34,7 +34,7 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use r2c_attacks::victim::victim_module;
-use r2c_bench::TablePrinter;
+use r2c_bench::{json::Json, obj, run_fleet_verified, TablePrinter};
 use r2c_core::R2cConfig;
 use r2c_serve::{run_fleet, ExecMode, FleetConfig, FleetRun, ReactionPolicy, Schedule};
 use r2c_vm::image::{Image, NativeKind, SectionLayout, Symbol, SymbolKind};
@@ -54,56 +54,13 @@ struct Sizes {
     fork_iters: usize,
 }
 
-struct Args {
-    smoke: bool,
-    verify: bool,
-}
-
-fn parse_args() -> Args {
-    let mut args = Args {
-        smoke: false,
-        verify: false,
-    };
-    for a in std::env::args().skip(1) {
-        match a.as_str() {
-            "--smoke" => args.smoke = true,
-            "--verify-determinism" => args.verify = true,
-            other => r2c_bench::usage_exit(
-                &format!("unknown argument {other:?}"),
-                "report_fleet [--smoke] [--verify-determinism]",
-            ),
-        }
+/// Served requests per host second (0 for a run that took no time).
+fn req_per_s(run: &FleetRun, wall_ms: f64) -> f64 {
+    if wall_ms > 0.0 {
+        run.metrics.served as f64 / (wall_ms / 1e3)
+    } else {
+        0.0
     }
-    args
-}
-
-/// Runs a scenario in work-stealing parallel mode; with `verify`,
-/// re-runs serially and records any divergence (log, metrics, or the
-/// per-request latency vector) in `errors`.
-fn run_verified(
-    module: &r2c_ir::Module,
-    fc: &FleetConfig,
-    sched: &Schedule,
-    verify: bool,
-    label: &str,
-    errors: &mut Vec<String>,
-) -> (FleetRun, f64) {
-    let t0 = Instant::now();
-    let parallel = run_fleet(module, fc, sched, ExecMode::Parallel);
-    let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-    if verify {
-        let serial = run_fleet(module, fc, sched, ExecMode::Serial);
-        if serial.log != parallel.log {
-            errors.push(format!("{label}: parallel log diverged from serial"));
-        }
-        if serial.metrics != parallel.metrics {
-            errors.push(format!("{label}: parallel metrics diverged from serial"));
-        }
-        if serial.request_latencies != parallel.request_latencies {
-            errors.push(format!("{label}: parallel latencies diverged from serial"));
-        }
-    }
-    (parallel, wall_ms)
 }
 
 /// Nearest-rank percentile (q in [0,1]) over simulated-cycle latencies.
@@ -229,8 +186,9 @@ fn fork_cost(data_pages: u64, iters: usize) -> ForkRow {
 }
 
 fn main() -> ExitCode {
-    let args = parse_args();
-    let sizes = if args.smoke {
+    let args = r2c_bench::cli::parse("usage: report_fleet [--smoke] [--verify-determinism]");
+    let (smoke, verify) = (args.flag("--smoke"), args.flag("--verify-determinism"));
+    let sizes = if smoke {
         Sizes {
             fleets: vec![8, 32, 128, 256],
             events_per_worker: 2,
@@ -292,20 +250,15 @@ fn main() -> ExitCode {
             fleet_seed: 42,
             ..FleetConfig::new(build, ReactionPolicy::RespawnFreshVariant).sized_for(workers)
         };
-        let (run, wall_ms) = run_verified(
+        let (run, wall_ms) = run_fleet_verified(
             &victim,
             &fc,
             &sched,
-            args.verify,
+            verify,
             &format!("scale/{workers}"),
             &mut errors,
         );
         let m = &run.metrics;
-        let req_per_s = if wall_ms > 0.0 {
-            m.served as f64 / (wall_ms / 1e3)
-        } else {
-            0.0
-        };
         t.row(&[
             workers.to_string(),
             events.to_string(),
@@ -313,7 +266,7 @@ fn main() -> ExitCode {
             format!("{:.3}", m.availability()),
             format!("{:.0}", m.cycles_per_request()),
             format!("{wall_ms:.1}"),
-            format!("{req_per_s:.0}"),
+            format!("{:.0}", req_per_s(&run, wall_ms)),
         ]);
         scaling.push(ScaleRow {
             workers,
@@ -341,11 +294,11 @@ fn main() -> ExitCode {
         fleet_seed: 7,
         ..FleetConfig::new(build, ReactionPolicy::RespawnFreshVariant).sized_for(sizes.tail_workers)
     };
-    let (tail_run, tail_wall_ms) = run_verified(
+    let (tail_run, tail_wall_ms) = run_fleet_verified(
         &victim,
         &tail_fc,
         &tail_sched,
-        args.verify,
+        verify,
         "tail/probe-load",
         &mut errors,
     );
@@ -458,84 +411,52 @@ fn main() -> ExitCode {
     );
 
     // -- BENCH_fleet.json ---------------------------------------------
-    let mut json = String::from("{\n");
-    json.push_str(&format!(
-        "  \"smoke\": {}, \"verified_determinism\": {},\n",
-        args.smoke, args.verify
-    ));
-    json.push_str("  \"deterministic\": {\n");
-    json.push_str(&format!(
-        "    \"service_cycles_per_request\": {service_cycles:.1},\n"
-    ));
-    json.push_str("    \"scaling\": [\n");
-    for (i, r) in scaling.iter().enumerate() {
+    let scaling_det = scaling.iter().map(|r| {
         let m = &r.run.metrics;
-        json.push_str(&format!(
-            "      {{\"workers\": {}, \"events\": {}, \"served\": {}, \"requests\": {}, \
-             \"availability\": {:.4}, \"cycles_per_request\": {:.1}, \"respawns\": {}}}{}\n",
-            r.workers,
-            r.events,
-            m.served,
-            m.requests,
-            m.availability(),
-            m.cycles_per_request(),
-            m.respawns,
-            if i + 1 == scaling.len() { "" } else { "," }
-        ));
-    }
-    json.push_str("    ],\n");
-    json.push_str(&format!(
-        "    \"tail_latency\": {{\"workers\": {}, \"events\": {}, \"probe_per_mille\": 150, \
-         \"mean_gap_cycles\": {}, \"served\": {}, \"p50_cycles\": {}, \"p99_cycles\": {}, \
-         \"p999_cycles\": {}, \"max_cycles\": {}}},\n",
-        sizes.tail_workers,
-        sizes.tail_events,
-        tail_gap,
-        lat.len(),
-        p50,
-        p99,
-        p999,
-        lat.last().copied().unwrap_or(0)
-    ));
-    json.push_str(&format!(
-        "    \"cow_equivalence\": {{\"log_identical\": {cow_log_ok}, \
-         \"metrics_identical\": {cow_metrics_ok}, \"latencies_identical\": {cow_lat_ok}}}\n"
-    ));
-    json.push_str("  },\n");
-    json.push_str("  \"host\": {\n");
-    json.push_str("    \"scaling_wall\": [\n");
-    for (i, r) in scaling.iter().enumerate() {
-        let req_per_s = if r.wall_ms > 0.0 {
-            r.run.metrics.served as f64 / (r.wall_ms / 1e3)
-        } else {
-            0.0
-        };
-        json.push_str(&format!(
-            "      {{\"workers\": {}, \"wall_ms\": {:.2}, \"requests_per_sec\": {:.0}}}{}\n",
-            r.workers,
-            r.wall_ms,
-            req_per_s,
-            if i + 1 == scaling.len() { "" } else { "," }
-        ));
-    }
-    json.push_str("    ],\n");
-    json.push_str(&format!("    \"tail_wall_ms\": {tail_wall_ms:.2},\n"));
-    json.push_str("    \"fork_cost\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        json.push_str(&format!(
-            "      {{\"image_pages\": {}, \"cow_fork_us\": {:.3}, \"cow_reset_us\": {:.3}, \
-             \"deep_fork_us\": {:.3}, \"private_frames_after_cow_fork\": {}}}{}\n",
-            r.image_pages,
-            r.cow_fork_us,
-            r.cow_reset_us,
-            r.deep_fork_us,
-            r.private_after_cow_fork,
-            if i + 1 == rows.len() { "" } else { "," }
-        ));
-    }
-    json.push_str("    ]\n");
-    json.push_str("  }\n}\n");
-    std::fs::write("BENCH_fleet.json", &json).expect("write BENCH_fleet.json");
+        obj! {
+            "workers": r.workers, "events": r.events, "served": m.served, "requests": m.requests,
+            "availability": Json::Fixed(m.availability(), 4),
+            "cycles_per_request": Json::Fixed(m.cycles_per_request(), 1), "respawns": m.respawns,
+        }
+    });
+    let scaling_wall = scaling.iter().map(|r| {
+        obj! {
+            "workers": r.workers, "wall_ms": Json::Fixed(r.wall_ms, 2),
+            "requests_per_sec": Json::Fixed(req_per_s(&r.run, r.wall_ms), 0),
+        }
+    });
+    let fork_cost = rows.iter().map(|r| {
+        obj! {
+            "image_pages": r.image_pages, "cow_fork_us": Json::Fixed(r.cow_fork_us, 3),
+            "cow_reset_us": Json::Fixed(r.cow_reset_us, 3),
+            "deep_fork_us": Json::Fixed(r.deep_fork_us, 3),
+            "private_frames_after_cow_fork": r.private_after_cow_fork,
+        }
+    });
+    let json = obj! {
+        "smoke": smoke,
+        "verified_determinism": verify,
+        "deterministic": obj! {
+            "service_cycles_per_request": Json::Fixed(service_cycles, 1),
+            "scaling": Json::arr(scaling_det),
+            "tail_latency": obj! {
+                "workers": sizes.tail_workers, "events": sizes.tail_events,
+                "probe_per_mille": 150u32, "mean_gap_cycles": tail_gap, "served": lat.len(),
+                "p50_cycles": p50, "p99_cycles": p99, "p999_cycles": p999,
+                "max_cycles": lat.last().copied().unwrap_or(0),
+            },
+            "cow_equivalence": obj! {
+                "log_identical": cow_log_ok, "metrics_identical": cow_metrics_ok,
+                "latencies_identical": cow_lat_ok,
+            },
+        },
+        "host": obj! {
+            "scaling_wall": Json::arr(scaling_wall),
+            "tail_wall_ms": Json::Fixed(tail_wall_ms, 2),
+            "fork_cost": Json::arr(fork_cost),
+        },
+    };
+    std::fs::write("BENCH_fleet.json", json.render()).expect("write BENCH_fleet.json");
     println!("\nwrote BENCH_fleet.json");
 
     if errors.is_empty() {

@@ -31,51 +31,59 @@ fn steady_state(kind: ServerKind, cfg: R2cConfig, machine: MachineKind) -> (usiz
 }
 
 fn main() {
-    let scale = if std::env::args().any(|a| a == "--large") {
-        Scale::Large
-    } else {
-        Scale::Bench
-    };
+    let large = r2c_bench::cli::parse("usage: report_memory [--large]").flag("--large");
+    let scale = if large { Scale::Large } else { Scale::Bench };
     let machine = MachineKind::I9_9900K;
 
-    println!("Memory overhead (maxrss, paper §6.2.5)\n");
-    let t = TablePrinter::new(&[11, 14, 14, 10]);
-    t.row(&[
-        "benchmark".into(),
-        "baseline rss".into(),
-        "R2C rss".into(),
-        "overhead".into(),
-    ]);
-    t.sep();
+    // The paper's aggregate covers its 12 SPEC profiles; the
+    // replay-captured workloads (`cap-*`, minted by `capture --bless`
+    // from recorded traces) follow in a section with their own geomean.
     let mut workloads = spec_workloads(scale);
-    // The replay-captured workloads (`cap-*`) ride along: standalone
-    // programs minted by `capture --bless` from recorded traces.
+    let n_spec = workloads.len();
     workloads.extend(captured_workloads());
     let rss_pairs = parallel_map(&workloads, |w| {
         let base = measure_once(&w.module, R2cConfig::baseline(0), machine, 1);
         let prot = measure_once(&w.module, R2cConfig::full(0), machine, 1);
         (base.stats.max_rss_bytes(), prot.stats.max_rss_bytes())
     });
-    let mut ratios = Vec::new();
-    for (w, &(b, p)) in workloads.iter().zip(&rss_pairs) {
-        ratios.push(p as f64 / b as f64);
+    let t = TablePrinter::new(&[11, 14, 14, 10]);
+    let sections = [
+        (
+            "Memory overhead (maxrss, paper §6.2.5)",
+            0..n_spec,
+            "\npaper: SPEC memory overhead 1-3%\n",
+        ),
+        (
+            "Captured workloads (cap-*, not in the paper's set):",
+            n_spec..workloads.len(),
+            "",
+        ),
+    ];
+    for (heading, rows, footer) in sections {
+        println!("{heading}\n");
+        t.row(&["benchmark", "baseline rss", "R2C rss", "overhead"].map(String::from));
+        t.sep();
+        let mut ratios = Vec::new();
+        for wi in rows {
+            let (b, p) = rss_pairs[wi];
+            ratios.push(p as f64 / b as f64);
+            t.row(&[
+                workloads[wi].name.into(),
+                format!("{} KiB", b / 1024),
+                format!("{} KiB", p / 1024),
+                format!("+{:.1}%", 100.0 * (p as f64 / b as f64 - 1.0)),
+            ]);
+        }
+        t.sep();
+        let geo = r2c_bench::geomean(&ratios);
         t.row(&[
-            w.name.into(),
-            format!("{} KiB", b / 1024),
-            format!("{} KiB", p / 1024),
-            format!("+{:.1}%", 100.0 * (p as f64 / b as f64 - 1.0)),
+            "geomean".into(),
+            String::new(),
+            String::new(),
+            format!("+{:.1}%", 100.0 * (geo - 1.0)),
         ]);
+        println!("{footer}");
     }
-    t.sep();
-    let geo = r2c_bench::geomean(&ratios);
-    t.row(&[
-        "geomean".into(),
-        String::new(),
-        String::new(),
-        format!("+{:.1}%", 100.0 * (geo - 1.0)),
-    ]);
-    println!("\npaper: SPEC memory overhead 1-3%\n");
-
     println!("Webserver memory overhead:\n");
     let t2 = TablePrinter::new(&[8, 14, 14, 12, 18]);
     t2.row(&[

@@ -16,7 +16,7 @@ use r2c_vm::{ExitStatus, MachineKind, Vm, VmConfig};
 use r2c_workloads::{build_workload, Profile};
 
 fn main() {
-    let large = std::env::args().any(|a| a == "--large");
+    let large = r2c_bench::cli::parse("usage: report_scale [--large]").flag("--large");
     println!("Scalability (paper §6.3): compiling and validating large programs\n");
     let t = TablePrinter::new(&[10, 10, 12, 12, 12, 10]);
     t.row(&[

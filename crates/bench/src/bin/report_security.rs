@@ -20,11 +20,8 @@ use r2c_core::analysis::{p_guess_return_address, p_locate_chain, p_pick_benign_h
 use r2c_core::R2cConfig;
 
 fn main() {
-    let trials: u64 = if std::env::args().any(|a| a == "--large") {
-        120
-    } else {
-        40
-    };
+    let large = r2c_bench::cli::parse("usage: report_security [--large]").flag("--large");
+    let trials: u64 = if large { 120 } else { 40 };
 
     println!("== Attack matrix (paper §7.2 / Table 3 security columns) ==\n");
     let t = TablePrinter::new(&[18, 26, 26]);

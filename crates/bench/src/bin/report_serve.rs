@@ -26,9 +26,9 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 use r2c_attacks::victim::victim_module;
-use r2c_bench::TablePrinter;
+use r2c_bench::{json::Json, obj, run_fleet_verified, TablePrinter};
 use r2c_core::{R2cConfig, TakeKind};
-use r2c_serve::{run_fleet, ExecMode, FleetConfig, FleetRun, ReactionPolicy, Schedule};
+use r2c_serve::{FleetConfig, FleetRun, ReactionPolicy, Schedule};
 use r2c_workloads::{webserver_module, ServerKind};
 
 const POLICIES: [ReactionPolicy; 3] = [
@@ -44,52 +44,6 @@ struct Sizes {
     probe_events: usize,
     /// Events in the webserver-fleet schedule.
     web_events: usize,
-}
-
-struct Args {
-    smoke: bool,
-    verify: bool,
-}
-
-fn parse_args() -> Args {
-    let mut args = Args {
-        smoke: false,
-        verify: false,
-    };
-    for a in std::env::args().skip(1) {
-        match a.as_str() {
-            "--smoke" => args.smoke = true,
-            "--verify-determinism" => args.verify = true,
-            other => r2c_bench::usage_exit(
-                &format!("unknown argument {other:?}"),
-                "report_serve [--smoke] [--verify-determinism]",
-            ),
-        }
-    }
-    args
-}
-
-/// Runs a scenario in parallel mode; with `verify`, re-runs serially
-/// and records any log/metric divergence in `errors`.
-fn run_verified(
-    module: &r2c_ir::Module,
-    fc: &FleetConfig,
-    sched: &Schedule,
-    verify: bool,
-    label: &str,
-    errors: &mut Vec<String>,
-) -> FleetRun {
-    let parallel = run_fleet(module, fc, sched, ExecMode::Parallel);
-    if verify {
-        let serial = run_fleet(module, fc, sched, ExecMode::Serial);
-        if serial.log != parallel.log {
-            errors.push(format!("{label}: parallel log diverged from serial"));
-        }
-        if serial.metrics != parallel.metrics {
-            errors.push(format!("{label}: parallel metrics diverged from serial"));
-        }
-    }
-    parallel
 }
 
 struct LatencyStats {
@@ -130,8 +84,9 @@ fn fmt_policy_metrics(run: &FleetRun) -> Vec<String> {
 }
 
 fn main() -> ExitCode {
-    let args = parse_args();
-    let sizes = if args.smoke {
+    let args = r2c_bench::cli::parse("usage: report_serve [--smoke] [--verify-determinism]");
+    let (smoke, verify) = (args.flag("--smoke"), args.flag("--verify-determinism"));
+    let sizes = if smoke {
         Sizes {
             serve_events: 160,
             probe_events: 400,
@@ -152,14 +107,14 @@ fn main() -> ExitCode {
     println!("== Fleet serving under attack-probe load (15% probes) ==\n");
     let sched_noisy = Schedule::generate(0x5EED, 4, sizes.serve_events, 150);
     let sched_quiet = sched_noisy.requests_only();
-    let quiet = run_verified(
+    let (quiet, _) = run_fleet_verified(
         &victim,
         &FleetConfig {
             fleet_seed: 42,
             ..FleetConfig::new(build, ReactionPolicy::RespawnFreshVariant)
         },
         &sched_quiet,
-        args.verify,
+        verify,
         "serve/quiet",
         &mut errors,
     );
@@ -182,11 +137,11 @@ fn main() -> ExitCode {
             fleet_seed: 42,
             ..FleetConfig::new(build, policy)
         };
-        let run = run_verified(
+        let (run, _) = run_fleet_verified(
             &victim,
             &fc,
             &sched_noisy,
-            args.verify,
+            verify,
             &format!("serve/{}", policy.name()),
             &mut errors,
         );
@@ -215,11 +170,11 @@ fn main() -> ExitCode {
     let mut p2c: Vec<(String, Option<u64>, FleetRun)> = Vec::new();
     for policy in POLICIES {
         let fc = FleetConfig::new(build, policy);
-        let run = run_verified(
+        let (run, _) = run_fleet_verified(
             &victim,
             &fc,
             &sched_probe,
-            args.verify,
+            verify,
             &format!("probe/{}", policy.name()),
             &mut errors,
         );
@@ -266,22 +221,8 @@ fn main() -> ExitCode {
     };
     let ws_noisy = Schedule::generate(0xEB, 2, sizes.web_events, 100);
     let ws_quiet = ws_noisy.requests_only();
-    let wq = run_verified(
-        &ws,
-        &ws_fc,
-        &ws_quiet,
-        args.verify,
-        "web/quiet",
-        &mut errors,
-    );
-    let wn = run_verified(
-        &ws,
-        &ws_fc,
-        &ws_noisy,
-        args.verify,
-        "web/noisy",
-        &mut errors,
-    );
+    let (wq, _) = run_fleet_verified(&ws, &ws_fc, &ws_quiet, verify, "web/quiet", &mut errors);
+    let (wn, _) = run_fleet_verified(&ws, &ws_fc, &ws_noisy, verify, "web/noisy", &mut errors);
     println!(
         "quiet: {:.3} availability, {:.0} cycles/request",
         wq.metrics.availability(),
@@ -311,11 +252,11 @@ fn main() -> ExitCode {
         pool_threads: 0,
         ..FleetConfig::new(build, ReactionPolicy::RespawnFreshVariant)
     };
-    let cold_run = run_verified(
+    let (cold_run, _) = run_fleet_verified(
         &victim,
         &cold_fc,
         &sched_probe,
-        args.verify,
+        verify,
         "probe/respawn-cold",
         &mut errors,
     );
@@ -362,84 +303,62 @@ fn main() -> ExitCode {
     }
 
     // -- BENCH_serve.json ---------------------------------------------
-    let mut json = String::from("{\n");
-    json.push_str(&format!(
-        "  \"smoke\": {}, \"verified_determinism\": {},\n",
-        args.smoke, args.verify
-    ));
-    json.push_str("  \"deterministic\": {\n");
-    json.push_str("    \"serving\": [\n");
-    for (i, (name, run)) in serving_rows.iter().enumerate() {
+    let serving = serving_rows.iter().map(|(name, run)| {
         let m = &run.metrics;
-        json.push_str(&format!(
-            "      {{\"policy\": \"{name}\", \"availability\": {:.4}, \"served\": {}, \
-             \"requests\": {}, \"dropped\": {}, \"cycles_per_request\": {:.1}, \
-             \"throughput_degradation\": {:.4}, \"detections\": {}, \"reactions\": {}, \
-             \"compromises\": {}}}{}\n",
-            m.availability(),
-            m.served,
-            m.requests,
-            m.dropped,
-            m.cycles_per_request(),
-            if quiet_cpr > 0.0 {
-                m.cycles_per_request() / quiet_cpr
-            } else {
-                1.0
-            },
-            m.detections,
-            m.restarts + m.respawns,
-            m.compromises,
-            if i + 1 == serving_rows.len() { "" } else { "," }
-        ));
-    }
-    json.push_str("    ],\n");
-    json.push_str("    \"probes_to_compromise\": [\n");
-    for (i, (name, k, run)) in p2c.iter().enumerate() {
-        json.push_str(&format!(
-            "      {{\"policy\": \"{name}\", \"first_compromise_probe\": {}, \"probes\": {}, \
-             \"detections\": {}, \"reactions\": {}}}{}\n",
-            k.map(|k| k.to_string()).unwrap_or_else(|| "null".into()),
-            run.metrics.probes,
-            run.metrics.detections,
-            run.metrics.restarts + run.metrics.respawns,
-            if i + 1 == p2c.len() { "" } else { "," }
-        ));
-    }
-    json.push_str("    ],\n");
-    json.push_str(&format!(
-        "    \"webserver\": {{\"quiet_availability\": {:.4}, \"noisy_availability\": {:.4}, \
-         \"quiet_cycles_per_request\": {:.1}, \"noisy_cycles_per_request\": {:.1}, \
-         \"respawns\": {}}}\n",
-        wq.metrics.availability(),
-        wn.metrics.availability(),
-        wq.metrics.cycles_per_request(),
-        wn.metrics.cycles_per_request(),
-        wn.metrics.respawns
-    ));
-    json.push_str("  },\n");
-    json.push_str("  \"host\": {\n");
-    json.push_str(&format!(
-        "    \"warm_take\": {{\"n\": {}, \"mean_us\": {:.2}, \"min_us\": {:.2}, \"max_us\": {:.2}}},\n",
-        ws_stats.n, ws_stats.mean_us, ws_stats.min_us, ws_stats.max_us
-    ));
-    json.push_str(&format!(
-        "    \"cold_compile\": {{\"n\": {}, \"mean_us\": {:.2}, \"min_us\": {:.2}, \"max_us\": {:.2}}},\n",
-        cs_stats.n, cs_stats.mean_us, cs_stats.min_us, cs_stats.max_us
-    ));
-    json.push_str(&format!(
-        "    \"boot_compile\": {{\"n\": {}, \"mean_us\": {:.2}}},\n",
-        boot_stats.n, boot_stats.mean_us
-    ));
-    json.push_str(&format!(
-        "    \"warm_speedup\": {:.3}\n",
-        if ws_stats.mean_us > 0.0 {
-            cs_stats.mean_us / ws_stats.mean_us
+        let degradation = if quiet_cpr > 0.0 {
+            m.cycles_per_request() / quiet_cpr
         } else {
-            0.0
+            1.0
+        };
+        obj! {
+            "policy": name.as_str(), "availability": Json::Fixed(m.availability(), 4),
+            "served": m.served, "requests": m.requests, "dropped": m.dropped,
+            "cycles_per_request": Json::Fixed(m.cycles_per_request(), 1),
+            "throughput_degradation": Json::Fixed(degradation, 4), "detections": m.detections,
+            "reactions": m.restarts + m.respawns, "compromises": m.compromises,
         }
-    ));
-    json.push_str("  }\n}\n");
-    std::fs::write("BENCH_serve.json", &json).expect("write BENCH_serve.json");
+    });
+    let p2c_rows = p2c.iter().map(|(name, k, run)| {
+        let m = &run.metrics;
+        obj! {
+            "policy": name.as_str(), "first_compromise_probe": *k, "probes": m.probes,
+            "detections": m.detections, "reactions": m.restarts + m.respawns,
+        }
+    });
+    let latency = |l: &LatencyStats| {
+        obj! {
+            "n": l.n, "mean_us": Json::Fixed(l.mean_us, 2), "min_us": Json::Fixed(l.min_us, 2),
+            "max_us": Json::Fixed(l.max_us, 2),
+        }
+    };
+    let warm_speedup = if ws_stats.mean_us > 0.0 {
+        cs_stats.mean_us / ws_stats.mean_us
+    } else {
+        0.0
+    };
+    let (wq, wn) = (&wq.metrics, &wn.metrics);
+    let json = obj! {
+        "smoke": smoke,
+        "verified_determinism": verify,
+        "deterministic": obj! {
+            "serving": Json::arr(serving),
+            "probes_to_compromise": Json::arr(p2c_rows),
+            "webserver": obj! {
+                "quiet_availability": Json::Fixed(wq.availability(), 4),
+                "noisy_availability": Json::Fixed(wn.availability(), 4),
+                "quiet_cycles_per_request": Json::Fixed(wq.cycles_per_request(), 1),
+                "noisy_cycles_per_request": Json::Fixed(wn.cycles_per_request(), 1),
+                "respawns": wn.respawns,
+            },
+        },
+        "host": obj! {
+            "warm_take": latency(&ws_stats),
+            "cold_compile": latency(&cs_stats),
+            "boot_compile": obj! { "n": boot_stats.n, "mean_us": Json::Fixed(boot_stats.mean_us, 2) },
+            "warm_speedup": Json::Fixed(warm_speedup, 3),
+        },
+    };
+    std::fs::write("BENCH_serve.json", json.render()).expect("write BENCH_serve.json");
     println!("\nwrote BENCH_serve.json");
 
     if errors.is_empty() {

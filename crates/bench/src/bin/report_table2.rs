@@ -14,11 +14,8 @@ use r2c_vm::MachineKind;
 use r2c_workloads::{spec_workloads, Scale};
 
 fn main() {
-    let scale = if std::env::args().any(|a| a == "--large") {
-        Scale::Large
-    } else {
-        Scale::Bench
-    };
+    let large = r2c_bench::cli::parse("usage: report_table2 [--large]").flag("--large");
+    let scale = if large { Scale::Large } else { Scale::Bench };
     let factor: u64 = match scale {
         Scale::Large => 100_000,
         _ => 1_000_000,

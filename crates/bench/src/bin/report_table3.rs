@@ -17,11 +17,8 @@ use r2c_baselines::DefenseKind;
 use r2c_bench::{parallel_map, TablePrinter};
 
 fn main() {
-    let trials: u64 = if std::env::args().any(|a| a == "--large") {
-        48
-    } else {
-        16
-    };
+    let large = r2c_bench::cli::parse("usage: report_table3 [--large]").flag("--large");
+    let trials: u64 = if large { 48 } else { 16 };
     println!("Table 3: defense comparison (attack columns measured over {trials} variants each)\n");
     let t = TablePrinter::new(&[12, 22, 4, 4, 5, 8, 6, 5]);
     t.row(&[

@@ -11,11 +11,8 @@ use r2c_vm::MachineKind;
 use r2c_workloads::{webserver::run_webserver, ServerKind};
 
 fn main() {
-    let requests: u64 = if std::env::args().any(|a| a == "--large") {
-        20_000
-    } else {
-        4_000
-    };
+    let large = r2c_bench::cli::parse("usage: report_webserver [--large]").flag("--large");
+    let requests: u64 = if large { 20_000 } else { 4_000 };
     println!("Webserver throughput under full R2C (paper §6.2.4), {requests} requests/run\n");
     let t = TablePrinter::new(&[8, 11, 14, 14, 10, 16]);
     t.row(&[

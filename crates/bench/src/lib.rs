@@ -21,14 +21,22 @@
 //! runs is reported; the baseline is the same compiler with R²C
 //! disabled. Overheads are ratios of simulated cycle counts under the
 //! respective machine cost model.
+//!
+//! Every binary reads its command line through [`cli`] and writes its
+//! JSON artifacts through [`json`].
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
+use std::time::Instant;
 
 use r2c_core::{R2cCompiler, R2cConfig};
 use r2c_ir::Module;
+use r2c_serve::{run_fleet, ExecMode, FleetConfig, FleetRun, Schedule};
 use r2c_vm::{ExecStats, ExitStatus, MachineKind, Vm, VmConfig};
+
+pub mod cli;
+pub mod json;
 
 /// One measured run of a module under a configuration.
 #[derive(Clone, Copy, Debug)]
@@ -109,11 +117,34 @@ fn median_of_sorted(v: &[f64]) -> f64 {
     }
 }
 
-/// Reports a bad command line the way every report binary does: the
-/// problem and the usage line on stderr, then exit status 2.
-pub fn usage_exit(problem: &str, usage: &str) -> ! {
-    eprintln!("{problem}\nusage: {usage}");
-    std::process::exit(2)
+/// Runs a fleet scenario in work-stealing parallel mode and returns it
+/// with its host wall time in ms; with `verify`, re-runs it serially
+/// and records any divergence (log, metrics, or the per-request
+/// latency vector) in `errors`, labelled `label`.
+pub fn run_fleet_verified(
+    module: &Module,
+    fc: &FleetConfig,
+    sched: &Schedule,
+    verify: bool,
+    label: &str,
+    errors: &mut Vec<String>,
+) -> (FleetRun, f64) {
+    let t0 = Instant::now();
+    let parallel = run_fleet(module, fc, sched, ExecMode::Parallel);
+    let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
+    if verify {
+        let serial = run_fleet(module, fc, sched, ExecMode::Serial);
+        if serial.log != parallel.log {
+            errors.push(format!("{label}: parallel log diverged from serial"));
+        }
+        if serial.metrics != parallel.metrics {
+            errors.push(format!("{label}: parallel metrics diverged from serial"));
+        }
+        if serial.request_latencies != parallel.request_latencies {
+            errors.push(format!("{label}: parallel latencies diverged from serial"));
+        }
+    }
+    (parallel, wall_ms)
 }
 
 /// Number of worker threads for [`parallel_map`]: the host's available

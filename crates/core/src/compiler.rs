@@ -391,9 +391,6 @@ entry:
             report.link_growth_bytes() > 0,
             "booby traps must grow the image: {report:?}"
         );
-        let j = report.to_json();
-        assert!(j.contains("\"pass\": \"lower\""));
-        assert!(j.contains("\"name\": \"main\""));
     }
 
     #[test]

@@ -4,11 +4,10 @@
 //! layer (the execution half lives in [`r2c_vm::trace`]). It records
 //! per-pass wall time, per-function instrumentation counts (NOPs,
 //! prolog traps, BTDP stores, BTRA sites) and the code growth from the
-//! pre-link program to the linked image, and serializes to the same
-//! minimal hand-rolled JSON the bench harness uses.
+//! pre-link program to the linked image. Every field is public; the
+//! bench harness serializes it (`r2c_bench::json`).
 
 use r2c_codegen::{FuncKind, Program};
-use r2c_vm::trace::json_escape;
 use r2c_vm::{Image, Insn};
 
 /// Wall time of one compiler pass.
@@ -147,56 +146,6 @@ impl CompileReport {
         }
         f
     }
-
-    /// Serializes the report as minimal JSON (no JSON crate in the
-    /// offline build; consumers are our own scripts and tests).
-    pub fn to_json(&self) -> String {
-        let mut j = String::from("{\n");
-        j.push_str(&format!("  \"seed\": {},\n", self.seed));
-        j.push_str(&format!("  \"total_wall_us\": {},\n", self.total_wall_us()));
-        j.push_str("  \"passes\": [\n");
-        for (i, p) in self.passes.iter().enumerate() {
-            j.push_str(&format!(
-                "    {{\"pass\": \"{}\", \"wall_us\": {}}}{}\n",
-                p.pass,
-                p.wall_us,
-                if i + 1 == self.passes.len() { "" } else { "," }
-            ));
-        }
-        j.push_str("  ],\n");
-        j.push_str(&format!(
-            "  \"prelink_text_bytes\": {},\n",
-            self.prelink_text_bytes
-        ));
-        j.push_str(&format!(
-            "  \"image_text_bytes\": {},\n",
-            self.image_text_bytes
-        ));
-        j.push_str(&format!(
-            "  \"link_growth_bytes\": {},\n",
-            self.link_growth_bytes()
-        ));
-        j.push_str(&format!("  \"image_insns\": {},\n", self.image_insns));
-        j.push_str(&format!("  \"booby_traps\": {},\n", self.booby_traps));
-        j.push_str("  \"funcs\": [\n");
-        for (i, f) in self.funcs.iter().enumerate() {
-            j.push_str(&format!(
-                "    {{\"name\": \"{}\", \"kind\": \"{}\", \"insns\": {}, \"bytes\": {}, \
-                 \"nops\": {}, \"traps\": {}, \"btdp_stores\": {}, \"btra_sites\": {}}}{}\n",
-                json_escape(&f.name),
-                f.kind,
-                f.insns,
-                f.bytes,
-                f.nops,
-                f.traps,
-                f.btdp_stores,
-                f.btra_sites,
-                if i + 1 == self.funcs.len() { "" } else { "," }
-            ));
-        }
-        j.push_str("  ]\n}\n");
-        j
-    }
 }
 
 /// Log2 magnitude bucket used by every coverage feature that wraps a
@@ -222,48 +171,5 @@ mod tests {
         assert_eq!(coverage_bucket(3), 2);
         assert_eq!(coverage_bucket(4), 3);
         assert_eq!(coverage_bucket(1023), 10);
-    }
-
-    #[test]
-    fn json_shape_is_stable() {
-        let mut r = CompileReport {
-            seed: 7,
-            passes: vec![
-                PassTiming {
-                    pass: "lower",
-                    wall_us: 120,
-                },
-                PassTiming {
-                    pass: "link",
-                    wall_us: 30,
-                },
-            ],
-            ..CompileReport::default()
-        };
-        r.funcs.push(FuncReport {
-            name: "main".into(),
-            kind: "normal",
-            insns: 10,
-            bytes: 40,
-            nops: 2,
-            traps: 1,
-            btdp_stores: 3,
-            btra_sites: 1,
-        });
-        r.prelink_text_bytes = 40;
-        r.image_text_bytes = 100;
-        let j = r.to_json();
-        assert_eq!(r.total_wall_us(), 150);
-        assert_eq!(r.link_growth_bytes(), 60);
-        for key in [
-            "\"seed\": 7",
-            "\"total_wall_us\": 150",
-            "\"pass\": \"lower\"",
-            "\"link_growth_bytes\": 60",
-            "\"name\": \"main\"",
-            "\"btdp_stores\": 3",
-        ] {
-            assert!(j.contains(key), "missing {key} in:\n{j}");
-        }
     }
 }

@@ -27,7 +27,7 @@ use crate::corpus::Corpus;
 use crate::coverage::{case_coverage, feature_index, CoverageMap};
 use crate::gen::{generate, generate_with, GenConfig};
 use crate::mutate::mutate;
-use crate::oracle::{run_oracle, summarize_divergences, CaseVerdict, Divergence, OracleMatrix};
+use crate::oracle::{run_oracle, CaseVerdict, Divergence, OracleMatrix};
 use crate::reduce::reduce;
 
 /// Everything a campaign run depends on. Same config ⇒ same campaign.
@@ -136,51 +136,6 @@ pub struct CampaignReport {
     pub divergences: Vec<DivergenceRecord>,
     /// Population after every case.
     pub curve: Vec<CoveragePoint>,
-}
-
-impl CampaignReport {
-    /// Minimal JSON (no JSON crate in the offline build): totals, the
-    /// coverage curve, and one summary line per diverging case.
-    pub fn to_json(&self) -> String {
-        let mut j = String::from("{\n");
-        j.push_str(&format!("  \"cases_run\": {},\n", self.cases_run));
-        j.push_str(&format!("  \"passed\": {},\n", self.passed));
-        j.push_str(&format!("  \"skipped\": {},\n", self.skipped));
-        j.push_str(&format!("  \"mutated_cases\": {},\n", self.mutated_cases));
-        j.push_str(&format!("  \"admitted\": {},\n", self.admitted));
-        j.push_str(&format!(
-            "  \"seed_corpus_population\": {},\n",
-            self.seed_corpus_population
-        ));
-        j.push_str(&format!("  \"population\": {},\n", self.population));
-        match self.first_divergence_case {
-            Some(c) => j.push_str(&format!("  \"first_divergence_case\": {c},\n")),
-            None => j.push_str("  \"first_divergence_case\": null,\n"),
-        }
-        j.push_str("  \"divergences\": [\n");
-        for (i, d) in self.divergences.iter().enumerate() {
-            j.push_str(&format!(
-                "    {{\"case_index\": {}, \"summary\": \"{}\"}}{}\n",
-                d.case_index,
-                r2c_vm::trace::json_escape(&summarize_divergences(&d.divergences)),
-                if i + 1 == self.divergences.len() {
-                    ""
-                } else {
-                    ","
-                }
-            ));
-        }
-        j.push_str("  ],\n");
-        j.push_str("  \"curve\": [");
-        for (i, p) in self.curve.iter().enumerate() {
-            if i > 0 {
-                j.push(',');
-            }
-            j.push_str(&format!("[{},{}]", p.case_index, p.population));
-        }
-        j.push_str("]\n}\n");
-        j
-    }
 }
 
 fn fresh_module(cfg: &CampaignConfig, rng: &mut SmallRng) -> Module {
@@ -352,17 +307,5 @@ mod tests {
             last = p.population;
         }
         assert_eq!(last, report.population);
-    }
-
-    #[test]
-    fn report_json_shape() {
-        let cfg = CampaignConfig {
-            matrix: tiny_matrix(),
-            ..CampaignConfig::guided_quick(3, 2)
-        };
-        let j = run_campaign(&cfg, &mut Corpus::new()).to_json();
-        for key in ["\"cases_run\": 3", "\"population\":", "\"curve\": [[0,"] {
-            assert!(j.contains(key), "missing {key} in:\n{j}");
-        }
     }
 }

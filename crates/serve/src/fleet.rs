@@ -108,8 +108,7 @@ pub struct FleetConfig {
     /// Debug knob: boot and reset workers with copy-on-write page
     /// sharing disabled (the pre-CoW deep-copy path). Guest-visible
     /// behavior and monitor logs must be bit-identical either way —
-    /// `report_fleet` proves it per seed. Defaults from `R2C_NO_COW`
-    /// like [`VmConfig::new`].
+    /// `report_fleet` proves it per seed. Off in [`FleetConfig::new`].
     pub no_cow: bool,
 }
 
@@ -131,7 +130,7 @@ impl FleetConfig {
             pool_threads: 2,
             pool_capacity: 8,
             shard_size: 8,
-            no_cow: std::env::var_os("R2C_NO_COW").is_some(),
+            no_cow: false,
         }
     }
 

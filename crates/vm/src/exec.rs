@@ -100,34 +100,33 @@ pub struct VmConfig {
     /// act on the live frame before [`Vm::resume`] releases the thread.
     pub break_on_probe: bool,
     /// Debug knob: disable superinstruction fusion in the decoded
-    /// engine. [`VmConfig::new`] defaults it from the `R2C_NO_FUSE`
-    /// environment variable; the fused-vs-unfused differential suites
-    /// flip it programmatically. Fusion is a pure host-side
-    /// optimization, so this must never change guest-visible behavior
-    /// or [`ExecStats`] — that is exactly what the suites assert.
+    /// engine. Off in [`VmConfig::new`]; the fused-vs-unfused
+    /// differential suites and `profile` set it. Fusion is a pure
+    /// host-side optimization, so this must never change guest-visible
+    /// behavior or [`ExecStats`] — that is exactly what the suites
+    /// assert.
     pub no_fuse: bool,
     /// Debug knob: disable copy-on-write page sharing, so building or
     /// resetting a VM deep-copies the load-time image
     /// ([`Memory::from_snapshot_deep`] / [`Memory::restore_deep`]) the
-    /// way the pre-CoW implementation did. [`VmConfig::new`] defaults
-    /// it from the `R2C_NO_COW` environment variable. CoW is a pure
-    /// host-side optimization — guest-visible behavior, [`ExecStats`]
-    /// and monitor logs must be bit-identical either way, which the
-    /// CoW differential suites and `report_fleet` assert.
+    /// way the pre-CoW implementation did. Off in [`VmConfig::new`].
+    /// CoW is a pure host-side optimization — guest-visible behavior,
+    /// [`ExecStats`] and monitor logs must be bit-identical either way,
+    /// which the CoW differential suites and `report_fleet` assert.
     pub no_cow: bool,
 }
 
 impl VmConfig {
-    /// Config with the given machine and a generous default budget.
-    /// Fusion is on unless the `R2C_NO_FUSE` environment variable is
-    /// set (to anything).
+    /// Config with the given machine, a generous default budget, and
+    /// fusion and copy-on-write on. The configuration never depends on
+    /// the environment.
     pub fn new(machine: MachineConfig) -> VmConfig {
         VmConfig {
             machine,
             insn_budget: 2_000_000_000,
             break_on_probe: false,
-            no_fuse: std::env::var_os("R2C_NO_FUSE").is_some(),
-            no_cow: std::env::var_os("R2C_NO_COW").is_some(),
+            no_fuse: false,
+            no_cow: false,
         }
     }
 }

@@ -230,130 +230,6 @@ impl ExecProfile {
         }
         out
     }
-
-    /// Serializes the profile as JSON (hand-rolled; the workspace has no
-    /// serialization dependency by design).
-    pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(4096);
-        s.push_str("{\n  \"totals\": {");
-        let t = &self.totals;
-        s.push_str(&format!(
-            "\"instructions\": {}, \"cycles_deci\": {}, \"calls\": {}, \
-             \"native_calls\": {}, \"rets\": {}, \"icache_misses\": {}, \
-             \"icache_hits\": {}, \"max_rss_pages\": {}, \"avx_transitions\": {}",
-            t.instructions,
-            t.cycles,
-            t.calls,
-            t.native_calls,
-            t.rets,
-            t.icache_misses,
-            t.icache_hits,
-            t.max_rss_pages,
-            t.avx_transitions
-        ));
-        s.push_str("},\n  \"functions\": [");
-        for (i, f) in self.funcs.iter().enumerate() {
-            if i > 0 {
-                s.push_str(", ");
-            }
-            s.push_str(&format!(
-                "\n    {{\"name\": \"{}\", \"self_cycles_deci\": {}, \
-                 \"instructions\": {}, \"icache_misses\": {}, \"calls\": {}}}",
-                json_escape(&f.name),
-                f.self_cycles,
-                f.instructions,
-                f.icache_misses,
-                f.calls
-            ));
-        }
-        s.push_str("\n  ],\n  \"folded\": [");
-        for (i, (stack, cycles)) in self.folded.iter().enumerate() {
-            if i > 0 {
-                s.push_str(", ");
-            }
-            s.push_str(&format!(
-                "\n    {{\"stack\": \"{}\", \"cycles_deci\": {cycles}}}",
-                json_escape(stack)
-            ));
-        }
-        let h = &self.heap;
-        s.push_str("\n  ],\n  \"heap\": {");
-        s.push_str(&format!(
-            "\"allocs\": {}, \"frees\": {}, \"peak_live_bytes\": {}, \
-             \"peak_resident_pages\": {}, \"end_live_bytes\": {}, \
-             \"end_resident_pages\": {}, \"released_pages\": {}, \
-             \"quarantined_pages\": {}, \"timeline\": [",
-            h.allocs,
-            h.frees,
-            h.peak_live_bytes,
-            h.peak_resident_pages,
-            h.end_live_bytes,
-            h.end_resident_pages,
-            h.released_pages,
-            h.quarantined_pages
-        ));
-        for (i, sm) in h.timeline.iter().enumerate() {
-            if i > 0 {
-                s.push_str(", ");
-            }
-            s.push_str(&format!(
-                "{{\"instructions\": {}, \"live_bytes\": {}, \"resident_pages\": {}}}",
-                sm.instructions, sm.live_bytes, sm.resident_pages
-            ));
-        }
-        s.push_str("]},\n  \"events\": [");
-        for (i, e) in self.events.iter().enumerate() {
-            if i > 0 {
-                s.push_str(", ");
-            }
-            s.push_str("\n    ");
-            s.push_str(&event_json(e));
-        }
-        s.push_str(&format!(
-            "\n  ],\n  \"dropped_events\": {}\n}}\n",
-            self.dropped_events
-        ));
-        s
-    }
-}
-
-fn event_json(e: &TraceEvent) -> String {
-    match e {
-        TraceEvent::Call { at, target } => {
-            format!("{{\"kind\": \"call\", \"at\": {at}, \"target\": {target}}}")
-        }
-        TraceEvent::Ret { at } => format!("{{\"kind\": \"ret\", \"at\": {at}}}"),
-        TraceEvent::Alloc { ptr, size } => {
-            format!("{{\"kind\": \"alloc\", \"ptr\": {ptr}, \"size\": {size}}}")
-        }
-        TraceEvent::Free { ptr } => format!("{{\"kind\": \"free\", \"ptr\": {ptr}}}"),
-        TraceEvent::Protect { addr, len, perms } => format!(
-            "{{\"kind\": \"protect\", \"addr\": {addr}, \"len\": {len}, \"perms\": \"{perms}\"}}"
-        ),
-        TraceEvent::Fault { desc } => {
-            format!(
-                "{{\"kind\": \"fault\", \"desc\": \"{}\"}}",
-                json_escape(desc)
-            )
-        }
-    }
-}
-
-/// Escapes a string for embedding in a JSON string literal.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Index of the pseudo-function covering addresses outside every known
@@ -875,12 +751,6 @@ mod tests {
             natives: vec![],
             unwind: Default::default(),
         }
-    }
-
-    #[test]
-    fn json_escape_handles_specials() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
     }
 
     #[test]

@@ -644,18 +644,6 @@ fn indirect_jump_into_run_middle_agrees() {
     assert_eq!(stats.instructions, 2 + 7 + 2);
 }
 
-/// The `R2C_NO_FUSE` environment knob feeds [`VmConfig::new`]'s
-/// default; explicit struct updates override it either way.
-#[test]
-fn no_fuse_env_knob_controls_default() {
-    // Serialized with other env-reading tests by being the only one in
-    // this binary that touches the variable.
-    std::env::set_var("R2C_NO_FUSE", "1");
-    assert!(VmConfig::new(MachineKind::EpycRome.config()).no_fuse);
-    std::env::remove_var("R2C_NO_FUSE");
-    assert!(!VmConfig::new(MachineKind::EpycRome.config()).no_fuse);
-}
-
 // --- Static/dynamic agreement: every corruption class in the decode
 // --- translation validator's mutation corpus, demonstrated live.
 //
